@@ -5,8 +5,7 @@ phase-integral levels at both truncation orders over s = 0..10.  The
 leading-order discrepancy decays slowly with s, while the third-order
 corrected one drops well below it for high s.
 
-Run:  python demos/method_comparison.py   (about a minute: one large
-dense symmetric eigensolve)
+Run:  python demos/method_comparison.py   (about a second)
 """
 
 from cornellbound import DimensionlessCase, Grid, quantize, solve

@@ -7,15 +7,26 @@ The fourth-order three-point scheme
       = A (psi_{i-1} + 10 psi_i + psi_{i+1})/12
 
 on a uniform lattice over [z_min, z_max] with Dirichlet ends becomes the
-pencil (-Ahat + Bhat Vhat, Bhat).  Because Ahat and Bhat are Toeplitz
-tridiagonal they commute, so the equivalent operator -Bhat^{-1} Ahat + Vhat
-is exactly symmetric and the levels come from a standard symmetric
-eigenproblem.
+pencil (-Ahat + Bhat Vhat, Bhat).  It is not symmetric for a non-constant
+potential, but Ahat and Bhat are Toeplitz tridiagonal, so they commute and
+-Bhat^{-1} Ahat + Vhat has the same spectrum and is symmetric.  With
+psi = Bhat chi the levels solve the pentadiagonal pencil
 
-Note the pencil written row-by-row (the Bhat Vhat term) is NOT symmetric
-for a non-constant potential, and its eigenvectors are only approximately
-Bhat-orthogonal; reality of the spectrum follows from the symmetric
-equivalent form above.
+    K chi = A M chi,   K = -Ahat Bhat + Bhat Vhat Bhat,   M = Bhat^2,
+
+a congruence of the symmetric operator by Bhat: K and M are symmetric,
+M is positive definite, and K - sigma M is positive definite exactly when
+sigma lies below every level (Sylvester inertia).  `solve` bisects for
+such a shift between min V - 1 (valid because -Bhat^{-1} Ahat is positive
+definite) and the Rayleigh quotient K_ii/M_ii at argmin V, with
+`cholesky_banded` as the test; the last successful factor is the
+shift-invert operator of a Lanczos iteration (`eigsh`) for the lowest
+`count` levels.  When every level is requested the same (K, M) pencil is
+solved densely.  Memory and time per factorization are O(n).
+
+The dense matrices of the original pencil and of the symmetric operator
+remain as `NumerovSystem` methods: tests use them as an independent
+reference and `pencil_residual` checks eigenvectors against them.
 """
 
 from __future__ import annotations
@@ -23,13 +34,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eig, eigh, solve_banded
+from scipy import sparse
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded, eigh, solve_banded
+from scipy.linalg import eig  # noqa: F401  (benchmark traces wrap numerov.eig by name)
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import DomainError, NonConvergenceError
 from .model import DimensionlessCase
 
-# switch point between dense generalized eig and the symmetric-operator route
-_DENSE_LIMIT = 700
+#: the shift bisection stops once the bracket around the lowest level is
+#: narrower than this fraction of max(1, |upper end|)
+SHIFT_RTOL = 1e-2
 
 #: default production domain; the reference convergence tables use
 #: z in [1e-5, 20] instead (both are accepted via Grid).
@@ -82,6 +97,39 @@ class NumerovSystem:
     @property
     def size(self) -> int:
         return len(self.potential_values)
+
+    def pencil_bands(self) -> tuple[np.ndarray, np.ndarray]:
+        """K = -Ahat Bhat + Bhat Vhat Bhat and M = Bhat^2 in upper banded storage.
+
+        Row 2 holds the diagonal and rows 1 and 0 the first and second
+        superdiagonals (their leading entries unused), the layout
+        `cholesky_banded` takes.  With S the matrix of ones on the first
+        off-diagonals, Ahat = a_main I + a_off S and Bhat = b_main I + b_off S,
+        and S^2 has 2 on the diagonal (1 in the two end rows) and 1 on the
+        second off-diagonals.
+        """
+        v = self.potential_values
+        am, ao, bm, bo = self.a_main, self.a_off, self.b_main, self.b_off
+        s2 = np.full(self.size, 2.0)
+        s2[[0, -1]] = 1.0
+        k = np.zeros((3, self.size))
+        k[2] = bm * bm * v - (am * bm + ao * bo * s2)
+        k[2, 1:] += bo * bo * v[:-1]
+        k[2, :-1] += bo * bo * v[1:]
+        k[1, 1:] = bm * bo * (v[:-1] + v[1:]) - (ao * bm + am * bo)
+        k[0, 2:] = bo * bo * v[1:-1] - ao * bo
+        m = np.zeros((3, self.size))
+        m[2] = bm * bm + bo * bo * s2
+        m[1, 1:] = 2.0 * bm * bo
+        m[0, 2:] = bo * bo
+        return k, m
+
+    def apply_b(self, x: np.ndarray) -> np.ndarray:
+        """Bhat x, for a vector or for vectors stored as columns."""
+        y = self.b_main * x
+        y[1:] += self.b_off * x[:-1]
+        y[:-1] += self.b_off * x[1:]
+        return y
 
     def kinetic_matrix(self) -> np.ndarray:
         """Dense Ahat = (I_{-1} - 2 I_0 + I_{+1}) / delta^2."""
@@ -161,31 +209,92 @@ def assemble(case: DimensionlessCase, grid: Grid) -> NumerovSystem:
     return NumerovSystem(grid=grid, potential_values=v, a_main=-2.0 / d2, a_off=1.0 / d2)
 
 
+def _symmetric_sparse(ab: np.ndarray):
+    """The symmetric sparse matrix held in upper banded storage `ab`."""
+    return sparse.diags(
+        [ab[0, 2:], ab[1, 1:], ab[2], ab[1, 1:], ab[0, 2:]], [-2, -1, 0, 1, 2], format="csr"
+    )
+
+
+def _certified_shift(k: np.ndarray, m: np.ndarray, v: np.ndarray) -> tuple[float, float, np.ndarray, int]:
+    """A shift sigma below every level of (K, M), proven by a banded Cholesky factor.
+
+    `k` and `m` are the upper banded pencil, `v` the potential on the nodes.
+    Returns (sigma, upper, factor, steps): K - sigma M = U^T U with U the
+    returned upper banded factor, the lowest level lies in (sigma, upper],
+    and `steps` bisection steps narrowed that bracket.
+    """
+    i = int(np.argmin(v))
+    lo, hi = float(v[i]) - 1.0, float(k[2, i] / m[2, i])
+    try:
+        factor = cholesky_banded(k - lo * m)
+    except LinAlgError as exc:
+        raise NonConvergenceError(f"K - sigma M is not positive definite at sigma = {lo:g}") from exc
+    steps = 0
+    while hi - lo > SHIFT_RTOL * max(1.0, abs(hi)):
+        mid = 0.5 * (lo + hi)
+        steps += 1
+        try:
+            factor = cholesky_banded(k - mid * m)
+            lo = mid
+        except LinAlgError:
+            hi = mid
+    return lo, hi, factor, steps
+
+
 def solve(case: DimensionlessCase, grid: Grid, count: int, eigenvectors: bool = False) -> Spectrum:
     """The `count` smallest dimensionless levels A on the given grid.
 
-    Small systems go through the dense generalized solver on the pencil as
-    written; large ones through the symmetric equivalent operator with a
-    partial eigendecomposition.  Both realize the same spectrum.
+    Shift-invert Lanczos on the pentadiagonal pencil (K, M) from a certified
+    shift below the whole spectrum, or a dense solve of the same pencil when
+    every level is requested (ARPACK needs count < size).  Eigenvectors are
+    psi = Bhat chi, orthonormal because chi is M-orthonormal.  The
+    diagnostics record the solver, the system size, the shift `sigma` and
+    the bracket (`sigma_lo`, `sigma_hi`] of the lowest level.
     """
     system = assemble(case, grid)
     n = system.size
     if not (1 <= count <= n):
         raise DomainError(f"count must be between 1 and {n}")
 
-    if n <= _DENSE_LIMIT and not eigenvectors:
-        w = eig(system.left_matrix(), system.b_matrix(), right=False)
-        if np.max(np.abs(w.imag)) > 1e-8 * max(1.0, np.max(np.abs(w.real))):
-            raise NonConvergenceError("generalized eigenvalues acquired imaginary parts")
-        vals = np.sort(w.real)[:count]
-        return Spectrum(eigenvalues=vals, case=case, grid=grid)
+    k_bands, m_bands = system.pencil_bands()
+    sigma, upper, factor, steps = _certified_shift(k_bands, m_bands, system.potential_values)
+    k, m = _symmetric_sparse(k_bands), _symmetric_sparse(m_bands)
+    diagnostics = {
+        "solver": "dense" if count == n else "lanczos",
+        "size": n,
+        "sigma": sigma,
+        "sigma_lo": sigma,
+        "sigma_hi": upper,
+        "shift_steps": steps,
+    }
+    if count == n:
+        w, chi = eigh(k.toarray(), m.toarray())
+    else:
+        solves = 0
 
-    c = system.symmetric_operator()
-    if eigenvectors:
-        w, vecs = eigh(c, subset_by_index=[0, count - 1])
-        return Spectrum(eigenvalues=w, eigenvectors=vecs, case=case, grid=grid)
-    w = eigh(c, eigvals_only=True, subset_by_index=[0, count - 1])
-    return Spectrum(eigenvalues=w, case=case, grid=grid)
+        def shift_invert(x):
+            nonlocal solves
+            solves += 1
+            return cho_solve_banded((factor, False), x)
+
+        # a fixed start vector makes repeated solves bitwise reproducible
+        v0 = np.random.default_rng(0).standard_normal(n)
+        try:
+            op_inv = LinearOperator((n, n), matvec=shift_invert, dtype=float)
+            w, chi = eigsh(k, k=count, M=m, sigma=sigma, which="LM", v0=v0, OPinv=op_inv)
+        except ArpackNoConvergence as exc:
+            raise NonConvergenceError(f"shift-invert Lanczos did not converge for {case}") from exc
+        order = np.argsort(w)
+        w, chi = w[order], chi[:, order]
+        diagnostics["shift_invert_solves"] = solves
+    return Spectrum(
+        eigenvalues=w,
+        eigenvectors=system.apply_b(chi) if eigenvectors else None,
+        case=case,
+        grid=grid,
+        diagnostics=diagnostics,
+    )
 
 
 def tracked_level(case: DimensionlessCase, grid: Grid, window: int = 16) -> float:

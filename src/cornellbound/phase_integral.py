@@ -274,9 +274,13 @@ def quantize(case: DimensionlessCase, x2_cap: float | None = None) -> Quantizati
         raise UnsupportedOrderError("only truncation orders j = 0 and j = 1 are supported")
     target = (case.s + 0.5) * math.pi
 
+    def phase_residual(x2: float) -> float:
+        return _phase_sum(x2, case) - target
+
     def f(x2: float) -> float | None:
+        """The scan's view of `phase_residual`: None where x2 admits no level."""
         try:
-            return _phase_sum(x2, case) - target
+            return phase_residual(x2)
         except (OrderingError, DomainError):
             return None
 
@@ -320,8 +324,10 @@ def quantize(case: DimensionlessCase, x2_cap: float | None = None) -> Quantizati
                 raise BracketError(f"no quantization bracket found for {case} up to x2 = {cap}")
             cap *= 2.0
 
-    x2 = brentq(f, bracket[0], bracket[1], xtol=1e-14, rtol=4.0 * np.finfo(float).eps)
-    residual = abs(_phase_sum(x2, case) - target)
+    # both bracket ends are valid; an invalid point inside the bracket
+    # raises OrderingError/DomainError out of brentq
+    x2 = brentq(phase_residual, bracket[0], bracket[1], xtol=1e-14, rtol=4.0 * np.finfo(float).eps)
+    residual = abs(phase_residual(x2))
     if residual > RESIDUAL_TOL:
         raise BracketError(f"quantization residual {residual} above {RESIDUAL_TOL}")
 

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import numerov, phase_integral
-from .errors import DegenerateDifferenceError, DomainError
+from .errors import DegenerateDifferenceError, DomainError, NonConvergenceError
 from .model import DimensionlessCase
 from .numerov import Grid
 
@@ -133,7 +133,7 @@ def compare_sweep(config: RunConfig) -> list[ComparisonRow]:
             count = max(config.s_values) + 1
             try:
                 spectrum = numerov.solve(DimensionlessCase(B=B, l=l), grid, count)
-            except Exception as exc:
+            except (DomainError, NonConvergenceError) as exc:
                 for s in sorted(config.s_values):
                     rows.append(
                         ComparisonRow(B=B, l=l, s=s, j=config.j, error=f"{type(exc).__name__}: {exc}")

@@ -65,6 +65,13 @@ class TestPhaseCommand:
         assert "FAILED" in err
 
 
+    def test_extreme_coulomb_fails_cleanly(self, capsys):
+        code = run(["phase", "-B", "1e6", "-l", "2", "-s", "0", "--order", "0"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "B=1e+06 l=2 s=0  FAILED: no ordering" in err
+
+
 class TestCompareCommand:
     def test_config_file_and_outputs(self, capsys, tmp_path):
         cfg = {

@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.linalg import LinAlgError, cholesky_banded, eigh
+from scipy.sparse.linalg import ArpackNoConvergence
 
-from cornellbound.errors import DomainError
+from cornellbound import numerov
+from cornellbound.errors import DomainError, NonConvergenceError
 from cornellbound.model import DimensionlessCase
 from cornellbound.numerov import (
     Grid,
@@ -56,6 +60,22 @@ class TestAssembly:
         assert sums[0] == pytest.approx(11.0 / 12.0)
         assert sums[-1] == pytest.approx(11.0 / 12.0)
 
+    def test_pencil_bands_match_dense_products(self):
+        # K = -Ahat Bhat + Bhat V Bhat and M = Bhat^2, from the dense factors
+        case = DimensionlessCase(B=5.0, l=2)
+        sys = assemble(case, Grid(0.1, 10.0, 64))
+        a, b, v = sys.kinetic_matrix(), sys.b_matrix(), np.diag(sys.potential_values)
+        k, m = sys.pencil_bands()
+        for bands, dense in ((k, -a @ b + b @ v @ b), (m, b @ b)):
+            scale = np.max(np.abs(dense))
+            assert np.allclose(np.diag(dense), bands[2], rtol=0, atol=1e-13 * scale)
+            assert np.allclose(np.diag(dense, 1), bands[1, 1:], rtol=0, atol=1e-13 * scale)
+            assert np.allclose(np.diag(dense, 2), bands[0, 2:], rtol=0, atol=1e-13 * scale)
+            assert np.all(np.diag(dense, 3) == 0.0)
+            assert np.allclose(dense, dense.T, rtol=0, atol=1e-13 * scale)
+        x = np.linspace(-1.0, 1.0, sys.size)
+        assert np.allclose(sys.apply_b(x), b @ x, rtol=0, atol=1e-15)
+
     def test_potential_values(self):
         case = DimensionlessCase(B=2.0, l=1)
         g = Grid(0.5, 2.5, 8)
@@ -93,12 +113,12 @@ class TestSpectrum:
         assert w.dtype.kind == "f"
         assert np.all(np.diff(w) > 0)
 
-    def test_dense_and_symmetric_paths_agree(self):
+    def test_banded_solve_matches_dense_operator(self):
         case = DimensionlessCase(B=2.0, l=1)
         g = Grid(**REF, n=300)
-        dense = solve(case, g, 5).eigenvalues
+        banded = solve(case, g, 5).eigenvalues
         sym = eigh(assemble(case, g).symmetric_operator(), eigvals_only=True)[:5]
-        assert np.allclose(dense, sym, rtol=1e-10, atol=1e-10)
+        assert np.allclose(banded, sym, rtol=1e-10, atol=1e-10)
 
     def test_pencil_residual_small(self):
         case = DimensionlessCase(B=5.0, l=0)
@@ -129,12 +149,77 @@ class TestSpectrum:
         a2 = solve(DimensionlessCase(B=2.0, l=1), g, 1).eigenvalues[0]
         assert a2 < a0
 
+    def test_repeated_solves_bitwise_equal(self):
+        case = DimensionlessCase(B=10.0, l=0)
+        g = Grid(**REF, n=512)
+        first = solve(case, g, 16, eigenvectors=True)
+        second = solve(case, g, 16, eigenvectors=True)
+        assert first.diagnostics["solver"] == "lanczos"
+        assert np.array_equal(first.eigenvalues, second.eigenvalues)
+        assert np.array_equal(first.eigenvectors, second.eigenvectors)
+
+    @pytest.mark.parametrize("B,l,n,count", [(0.0, 0, 512, 4), (10.0, 0, 512, 16), (2.0, 1, 16, 15)])
+    def test_certified_shift_below_lowest_level(self, B, l, n, count):
+        case = DimensionlessCase(B=B, l=l)
+        g = Grid(**REF, n=n)
+        spec = solve(case, g, count)
+        d = spec.diagnostics
+        assert d["size"] == n - 1
+        assert d["solver"] == ("dense" if count == n - 1 else "lanczos")
+        assert d["sigma"] == d["sigma_lo"]
+        k, m = assemble(case, g).pencil_bands()
+        cholesky_banded(k - d["sigma"] * m)  # raises unless K - sigma M is positive definite
+        assert d["sigma_lo"] < spec.eigenvalues[0] <= d["sigma_hi"]
+
+    def test_solver_failures_raise_package_errors(self, monkeypatch):
+        case = DimensionlessCase(B=2.0, l=1)
+        g = Grid(**REF, n=256)
+
+        def no_convergence(*args, **kwargs):
+            raise ArpackNoConvergence("forced", np.empty(0), np.empty((0, 0)))
+
+        monkeypatch.setattr(numerov, "eigsh", no_convergence)
+        with pytest.raises(NonConvergenceError):
+            solve(case, g, 4)
+
+        def not_positive_definite(*args, **kwargs):
+            raise LinAlgError("forced")
+
+        monkeypatch.setattr(numerov, "cholesky_banded", not_positive_definite)
+        with pytest.raises(NonConvergenceError):
+            solve(case, g, 4)
+
     def test_count_validation(self):
         case = DimensionlessCase(B=0.0, l=0)
         with pytest.raises(DomainError):
             solve(case, Grid(**REF, n=16), 0)
         with pytest.raises(DomainError):
             solve(case, Grid(**REF, n=16), 16)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    B=st.floats(0.0, 20.0),
+    l=st.integers(0, 3),
+    n=st.integers(8, 600),
+    frac=st.floats(0.0, 1.0),
+)
+@example(B=0.0, l=0, n=8, frac=1.0)  # every level requested: the dense pencil solve
+@example(B=3.0, l=2, n=16, frac=1.0)
+@example(B=10.0, l=0, n=512, frac=15 / 510)  # Coulomb-collapsed row of the mesh table
+@example(B=10.0, l=0, n=8, frac=1.0)
+def test_solve_matches_dense_symmetric_operator(B, l, n, frac):
+    """The lowest `count` levels equal those of a dense eigh of -Bhat^-1 Ahat + V."""
+    size = n - 1
+    count = 1 + round(frac * (size - 1))
+    case = DimensionlessCase(B=B, l=l)
+    g = Grid(**REF, n=n)
+    spec = solve(case, g, count)
+    ref = eigh(assemble(case, g).symmetric_operator(), eigvals_only=True)[:count]
+    assert spec.eigenvalues.shape == (count,)
+    assert np.all(np.abs(spec.eigenvalues - ref) <= 1e-10 * np.maximum(1.0, np.abs(ref)))
+    assert spec.diagnostics["solver"] == ("dense" if count == size else "lanczos")
+    assert np.array_equal(spec.eigenvalues, solve(case, g, count).eigenvalues)
 
 
 class TestGoldenValues:

@@ -313,6 +313,12 @@ class TestQuantize:
         vals = [quantize(case(s)).A for s in range(4)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
+    def test_extreme_coulomb_raises_package_error(self):
+        # Brent steps onto an x2 with no turning-point ordering; that error
+        # must come out as it is, not as a scipy TypeError on a None value
+        with pytest.raises(OrderingError):
+            quantize(DimensionlessCase(B=1e6, l=2, s=0, j=0))
+
     def test_deterministic(self):
         c = DimensionlessCase(B=5.0, l=1, s=2, j=1)
         r1, r2 = quantize(c), quantize(c)

@@ -122,6 +122,15 @@ class TestCompare:
         r2 = compare_sweep(cfg)[0]
         assert (r1.A_N, r1.A_PhI) == (r2.A_N, r2.A_PhI)
 
+    def test_sweep_records_numerov_domain_error(self):
+        # s = 7 needs 8 levels, but N = 8 leaves 7 interior nodes
+        cfg = RunConfig(B_values=[0.0], l_values=[0], s_values=[0, 7], n=8, z_min=1e-4, z_max=20.0)
+        rows = compare_sweep(cfg)
+        assert [r.s for r in rows] == [0, 7]
+        for r in rows:
+            assert r.error.startswith("DomainError: count must be between 1 and 7")
+            assert math.isnan(r.A_N) and math.isnan(r.A_PhI)
+
     def test_delta_series_grouping(self):
         rows = [
             ComparisonRow(B=2.0, l=0, s=1, j=1, delta_A=0.2),
