@@ -11,7 +11,7 @@ elliptic functions) and :mod:`cornellbound.model` (the dimensionless
 reduction), cross-validated in :mod:`cornellbound.report`.
 """
 
-from .model import DimensionlessCase, LevelResult, PhysicalParams, Q2_of_z, R_of_z, reduce
+from .model import DimensionlessCase, PhysicalParams, Q2_of_z, R_of_z, reduce
 from .numerov import Grid, Spectrum, convergence_table, solve, tracked_level
 from .phase_integral import QuantizationResult, TurningPoints, chi0_diagnostic, quantize
 from .report import ComparisonRow, RunConfig, compare_sweep, rate_M, rate_N
@@ -20,7 +20,6 @@ __all__ = [
     "ComparisonRow",
     "DimensionlessCase",
     "Grid",
-    "LevelResult",
     "PhysicalParams",
     "Q2_of_z",
     "QuantizationResult",

@@ -8,9 +8,26 @@ Subcommands:
   rates     N_k (and optionally M_k) convergence rates from a value list,
             a CSV column, or a freshly computed convergence table
 
-All subcommands accept --config JSON_FILE; flags override config values.
-Exit codes: 0 full success, 1 configuration error, 2 partial per-case
-failures.
+Every subcommand runs one spec, a report.RunConfig.  Each of its fields
+comes from the flag if given, else from the key of the JSON file named by
+--config, else from the subcommand's default:
+
+  key       flag     default
+  B_values  -B       [0]; compare [0, 2, 5, 10]; rates none
+  l_values  -l       [0]; compare [0, 1, 2]; rates none
+  s_values  -s       [0]    (phase, compare)
+  j         --order  1      (phase, compare)
+  z_min     --zmin   1e-4; 1e-5 for mesh sweeps (numerov --grids, rates)
+  z_max     --zmax   50;   20 for mesh sweeps
+  n         --grid   5000   (numerov without --grids, compare)
+
+rates computes sequences only when both B and l values are given; the
+--values and --csv inputs take precedence over them.
+
+Exit codes: 0 full success; 1 configuration error (an unreadable config,
+an unknown key, or a value of the wrong type or range, all checked
+before any case runs); 2 partial per-case failures (each reported as a
+FAILED line on stderr; the other cases still run).
 """
 
 from __future__ import annotations
@@ -20,9 +37,23 @@ import json
 import sys
 
 from . import numerov, phase_integral, report
-from .errors import DomainError
+from .errors import CornellboundError, DomainError
 from .model import DimensionlessCase
 from .numerov import Grid
+
+#: config-file key -> argparse dest of the flag that overrides it
+CONFIG_KEYS = {
+    "B_values": "B",
+    "l_values": "l",
+    "s_values": "s",
+    "j": "order",
+    "z_min": "zmin",
+    "z_max": "zmax",
+    "n": "grid",
+}
+
+#: the mesh-sweep domain of the reference convergence tables
+SWEEP_DOMAIN = {"z_min": numerov.SWEEP_Z_MIN, "z_max": numerov.SWEEP_Z_MAX}
 
 
 def _int_list(text: str) -> list[int]:
@@ -35,20 +66,27 @@ def _float_list(text: str) -> list[float]:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file; flags override its values")
+    p.add_argument("-B", type=_float_list, default=None, help="comma-separated B values")
+    p.add_argument("-l", type=_int_list, default=None, help="comma-separated l values")
     p.add_argument("--grid", type=int, default=None, help="number of mesh subintervals N")
     p.add_argument("--zmin", type=float, default=None)
     p.add_argument("--zmax", type=float, default=None)
     p.add_argument("--out", default=None, help="output path (CSV); JSON goes to OUT.json")
 
 
+def _add_levels(p: argparse.ArgumentParser) -> None:
+    p.add_argument("-s", type=_int_list, default=None, help="comma-separated radial indices s")
+    p.add_argument("--order", type=int, default=None, choices=(0, 1), help="truncation order j")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="cornellbound", description=__doc__)
+    ap = argparse.ArgumentParser(
+        prog="cornellbound", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("numerov", help="Numerov eigenvalues / convergence table")
     _add_common(p)
-    p.add_argument("-B", type=_float_list, default=[0.0], help="comma-separated B values")
-    p.add_argument("-l", type=_int_list, default=[0], help="comma-separated l values")
     p.add_argument("--levels", type=int, default=1, help="number of lowest levels")
     p.add_argument("--grids", type=_int_list, default=None, help="mesh sweep, e.g. 8,16,32,64")
     p.add_argument(
@@ -56,104 +94,110 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="report the smallest-|A| level instead of the ground level",
     )
+    p.set_defaults(run=cmd_numerov)
 
     p = sub.add_parser("phase", help="phase-integral quantization")
     _add_common(p)
-    p.add_argument("-B", type=_float_list, default=[0.0])
-    p.add_argument("-l", type=_int_list, default=[0])
-    p.add_argument("-s", type=_int_list, default=[0])
-    p.add_argument("--order", type=int, default=1, choices=(0, 1), help="truncation order j")
+    _add_levels(p)
+    p.set_defaults(run=cmd_phase)
 
     p = sub.add_parser("compare", help="sweep both methods and emit |Delta A| tables")
     _add_common(p)
-    p.add_argument("-B", type=_float_list, default=None)
-    p.add_argument("-l", type=_int_list, default=None)
-    p.add_argument("-s", type=_int_list, default=None)
-    p.add_argument("--order", type=int, default=None, choices=(0, 1))
+    _add_levels(p)
+    p.set_defaults(run=cmd_compare)
 
     p = sub.add_parser("rates", help="convergence-rate diagnostics N_k / M_k")
     _add_common(p)
     p.add_argument("--values", type=_float_list, default=None, help="explicit eigenvalue sequence")
     p.add_argument("--csv", default=None, help="read the A_N column of a comparison CSV")
-    p.add_argument("-B", type=_float_list, default=None)
-    p.add_argument("-l", type=_int_list, default=None)
     p.add_argument("--grids", type=_int_list, default=[8, 16, 32, 64, 128, 256, 512])
     p.add_argument("--ref", type=float, default=None, help="reference value: also print M_k")
+    p.set_defaults(run=cmd_rates)
     return ap
 
 
-def _load_config(args) -> dict:
+def resolve_config(args, **defaults) -> report.RunConfig:
+    """The run spec of one subcommand.
+
+    Each field comes from its flag if given, else from the --config file,
+    else from `defaults`, else from the RunConfig default.  An unreadable
+    file raises OSError or JSONDecodeError; an unknown key or an invalid
+    value raises DomainError.
+    """
     cfg = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config, encoding="utf-8") as fh:
             cfg = json.load(fh)
         if not isinstance(cfg, dict):
             raise DomainError("config file must hold a JSON object")
-    return cfg
-
-
-def _grid_from(args, cfg) -> Grid:
-    z_min = args.zmin if args.zmin is not None else cfg.get("z_min", numerov.DEFAULT_Z_MIN)
-    z_max = args.zmax if args.zmax is not None else cfg.get("z_max", numerov.DEFAULT_Z_MAX)
-    n = args.grid if args.grid is not None else cfg.get("n", numerov.DEFAULT_N)
-    return Grid(z_min, z_max, n)
+        unknown = sorted(set(cfg) - set(CONFIG_KEYS))
+        if unknown:
+            raise DomainError(f"unknown config key(s) {', '.join(unknown)}; known keys: {', '.join(CONFIG_KEYS)}")
+    values = dict(defaults)
+    for key, dest in CONFIG_KEYS.items():
+        flag = getattr(args, dest, None)
+        if flag is not None:
+            values[key] = flag
+        elif key in cfg:
+            values[key] = cfg[key]
+    return report.RunConfig(**values)
 
 
 def _header() -> None:
     print(f"# cornellbound | adopted convention: {report.B_DEFINITION}")
 
 
+def _report_failure(label: str, exc: CornellboundError) -> None:
+    print(f"{label}  FAILED: {exc}", file=sys.stderr)
+
+
 def cmd_numerov(args) -> int:
-    cfg = _load_config(args)
+    sweep = SWEEP_DOMAIN if args.grids else {}
+    config = resolve_config(args, B_values=[0.0], l_values=[0], **sweep)
+    grid = config.grid()
+    grids = [Grid(config.z_min, config.z_max, n) for n in args.grids or []]
     _header()
     failures = 0
-    if args.grids:
-        z_min = args.zmin if args.zmin is not None else cfg.get("z_min", 1e-5)
-        z_max = args.zmax if args.zmax is not None else cfg.get("z_max", 20.0)
-        for B in args.B:
-            for l in args.l:
-                grids = [Grid(z_min, z_max, n) for n in args.grids]
-                table = numerov.convergence_table(DimensionlessCase(B=B, l=l), grids, tracked=True)
-                cells = "  ".join(f"N={n}: {a:.6g}" for n, a in table)
-                print(f"B={B:g} l={l}  {cells}")
-        return 0
-    grid = _grid_from(args, cfg)
-    for B in args.B:
-        for l in args.l:
+    for B in config.B_values:
+        for l in config.l_values:
+            label = f"B={B:g} l={l}"
             try:
-                if args.tracked:
-                    a = numerov.tracked_level(DimensionlessCase(B=B, l=l), grid)
-                    print(f"B={B:g} l={l}  tracked A = {a:.10g}")
+                case = DimensionlessCase(B=B, l=l)
+                if args.grids:
+                    table = numerov.convergence_table(case, grids, tracked=True)
+                    print(f"{label}  " + "  ".join(f"N={n}: {a:.6g}" for n, a in table))
+                elif args.tracked:
+                    print(f"{label}  tracked A = {numerov.tracked_level(case, grid):.10g}")
                 else:
-                    spec = numerov.solve(DimensionlessCase(B=B, l=l), grid, args.levels)
-                    vals = "  ".join(f"{v:.10g}" for v in spec.eigenvalues)
-                    print(f"B={B:g} l={l}  A = {vals}")
-            except Exception as exc:
+                    spec = numerov.solve(case, grid, args.levels)
+                    print(f"{label}  A = " + "  ".join(f"{v:.10g}" for v in spec.eigenvalues))
+            except CornellboundError as exc:
                 failures += 1
-                print(f"B={B:g} l={l}  FAILED: {exc}", file=sys.stderr)
+                _report_failure(label, exc)
     return 2 if failures else 0
 
 
 def cmd_phase(args) -> int:
-    cfg = _load_config(args)
+    config = resolve_config(args, B_values=[0.0], l_values=[0])
     _header()
     failures = 0
     results = []
-    for B in args.B:
-        for l in args.l:
-            for s in args.s:
+    for B in config.B_values:
+        for l in config.l_values:
+            for s in config.s_values:
                 try:
-                    res = phase_integral.quantize(DimensionlessCase(B=B, l=l, s=s, j=args.order))
-                    u0 = res.u0.as_complex()
-                    print(
-                        f"B={B:g} l={l} s={s} j={args.order}  A = {res.A:.10g}  "
-                        f"x2 = {res.x2:.10g}  |C(u0)| = {res.C_abs:.2e}  "
-                        f"u0 = {u0.real:.6f}{u0.imag:+.6f}i  residual = {res.residual:.2e}"
-                    )
-                    results.append(res)
-                except Exception as exc:
+                    res = phase_integral.quantize(DimensionlessCase(B=B, l=l, s=s, j=config.j))
+                except CornellboundError as exc:
                     failures += 1
-                    print(f"B={B:g} l={l} s={s}  FAILED: {exc}", file=sys.stderr)
+                    _report_failure(f"B={B:g} l={l} s={s}", exc)
+                    continue
+                u0 = res.u0.as_complex()
+                print(
+                    f"B={B:g} l={l} s={s} j={config.j}  A = {res.A:.10g}  "
+                    f"x2 = {res.x2:.10g}  |C(u0)| = {res.C_abs:.2e}  "
+                    f"u0 = {u0.real:.6f}{u0.imag:+.6f}i  residual = {res.residual:.2e}"
+                )
+                results.append(res)
     if args.out:
         payload = [
             {
@@ -176,17 +220,8 @@ def cmd_phase(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    cfg = _load_config(args)
+    config = resolve_config(args)
     _header()
-    config = report.RunConfig(
-        B_values=args.B if args.B is not None else cfg.get("B_values", [0.0, 2.0, 5.0, 10.0]),
-        l_values=args.l if args.l is not None else cfg.get("l_values", [0, 1, 2]),
-        s_values=args.s if args.s is not None else cfg.get("s_values", [0]),
-        j=args.order if args.order is not None else cfg.get("j", 1),
-        z_min=args.zmin if args.zmin is not None else cfg.get("z_min", numerov.DEFAULT_Z_MIN),
-        z_max=args.zmax if args.zmax is not None else cfg.get("z_max", numerov.DEFAULT_Z_MAX),
-        n=args.grid if args.grid is not None else cfg.get("n", numerov.DEFAULT_N),
-    )
     rows = report.compare_sweep(config)
     for r in rows:
         if r.error:
@@ -204,49 +239,47 @@ def cmd_compare(args) -> int:
 
 
 def cmd_rates(args) -> int:
-    _load_config(args)
+    config = resolve_config(args, B_values=[], l_values=[], **SWEEP_DOMAIN)
     _header()
+    failures = 0
     sequences = []
     if args.values is not None:
         sequences.append(("values", args.values))
     elif args.csv is not None:
-        rows = report.read_csv(args.csv)
-        sequences.append((args.csv, [r.A_N for r in rows]))
+        sequences.append((args.csv, [r.A_N for r in report.read_csv(args.csv)]))
+    elif config.B_values and config.l_values:
+        grids = [Grid(config.z_min, config.z_max, n) for n in args.grids]
+        for B in config.B_values:
+            for l in config.l_values:
+                label = f"B={B:g} l={l}"
+                try:
+                    table = numerov.convergence_table(DimensionlessCase(B=B, l=l), grids, tracked=True)
+                except CornellboundError as exc:
+                    failures += 1
+                    _report_failure(label, exc)
+                    continue
+                sequences.append((label, [a for _, a in table]))
     else:
-        if args.B is None or args.l is None:
-            print("rates: need --values, --csv, or -B and -l", file=sys.stderr)
-            return 1
-        z_min = args.zmin if args.zmin is not None else 1e-5
-        z_max = args.zmax if args.zmax is not None else 20.0
-        for B in args.B:
-            for l in args.l:
-                grids = [Grid(z_min, z_max, n) for n in args.grids]
-                table = numerov.convergence_table(DimensionlessCase(B=B, l=l), grids, tracked=True)
-                sequences.append((f"B={B:g} l={l}", [a for _, a in table]))
+        print("rates: need --values, --csv, or -B and -l", file=sys.stderr)
+        return 1
     for label, seq in sequences:
-        nk = report.rate_N(seq)
-        print(f"{label}  N_k = " + ", ".join(f"{v:.2f}" for v in nk))
-        if args.ref is not None:
-            mk = report.rate_M(seq, args.ref)
-            print(f"{label}  M_k = " + ", ".join(f"{v:.2f}" for v in mk))
-    return 0
+        try:
+            print(f"{label}  N_k = " + ", ".join(f"{v:.2f}" for v in report.rate_N(seq)))
+            if args.ref is not None:
+                print(f"{label}  M_k = " + ", ".join(f"{v:.2f}" for v in report.rate_M(seq, args.ref)))
+        except CornellboundError as exc:
+            failures += 1
+            _report_failure(label, exc)
+    return 2 if failures else 0
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "numerov":
-            return cmd_numerov(args)
-        if args.command == "phase":
-            return cmd_phase(args)
-        if args.command == "compare":
-            return cmd_compare(args)
-        if args.command == "rates":
-            return cmd_rates(args)
+        return args.run(args)
     except (DomainError, OSError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-    return 1
 
 
 if __name__ == "__main__":

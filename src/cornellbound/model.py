@@ -17,7 +17,7 @@ condition for the phase-integral base function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,16 +68,6 @@ class DimensionlessCase:
     def nu(self) -> float:
         """Langer-shifted angular momentum l + 1/2."""
         return self.l + 0.5
-
-
-@dataclass
-class LevelResult:
-    """A computed dimensionless level A, with provenance and diagnostics."""
-
-    A: float
-    method: str  # "numerov" or "phase_integral"
-    E_physical: float | None = None
-    diagnostics: dict = field(default_factory=dict)
 
 
 def reduce(p: PhysicalParams, E: float) -> tuple[float, float, float]:

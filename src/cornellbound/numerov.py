@@ -46,11 +46,13 @@ from .model import DimensionlessCase
 #: narrower than this fraction of max(1, |upper end|)
 SHIFT_RTOL = 1e-2
 
-#: default production domain; the reference convergence tables use
-#: z in [1e-5, 20] instead (both are accepted via Grid).
+#: default production domain (any domain is accepted via Grid)
 DEFAULT_Z_MIN = 1e-4
 DEFAULT_Z_MAX = 50.0
 DEFAULT_N = 5000
+#: domain of the reference convergence tables and of the CLI mesh sweeps
+SWEEP_Z_MIN = 1e-5
+SWEEP_Z_MAX = 20.0
 
 
 @dataclass(frozen=True)

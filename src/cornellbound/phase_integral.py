@@ -32,6 +32,7 @@ from scipy.optimize import brentq
 from . import special
 from .errors import (
     BracketError,
+    CornellboundError,
     DomainError,
     NoValidRootError,
     OrderingError,
@@ -234,7 +235,7 @@ def solve_u0(m: float, alpha2: float) -> ComplexPoint:
                 if c_abs <= C_TOL:
                     return u0
                 failures.append((w, f"|C| = {c_abs:.3e}"))
-            except Exception as exc:  # branch invalid; try the next one
+            except CornellboundError as exc:  # branch invalid; try the next one
                 failures.append((w, repr(exc)))
     raise NoValidRootError(f"no C = 0 base point for m={m}, alpha2={alpha2}: {failures}")
 

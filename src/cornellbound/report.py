@@ -15,10 +15,11 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 from . import numerov, phase_integral
-from .errors import DegenerateDifferenceError, DomainError, NonConvergenceError
+from .errors import CornellboundError, DegenerateDifferenceError, DomainError, NonConvergenceError
 from .model import DimensionlessCase
 from .numerov import Grid
 
@@ -46,9 +47,33 @@ class ComparisonRow:
     error: str | None = None
 
 
+def _is_real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+#: RunConfig field -> (test of the value, or of each entry of a *_values list; what it must be)
+_FIELD_TYPES = {
+    "B_values": (_is_real, "a list of finite numbers"),
+    "l_values": (_is_int, "a list of integers"),
+    "s_values": (_is_int, "a list of integers"),
+    "j": (_is_int, "an integer"),
+    "z_min": (_is_real, "a finite number"),
+    "z_max": (_is_real, "a finite number"),
+    "n": (_is_int, "an integer"),
+}
+
+
 @dataclass
 class RunConfig:
-    """A sweep specification plus grid and output settings."""
+    """The run spec of every CLI subcommand: the (B, l, s, j) sweep and the grid.
+
+    Values may come from a config file, so every field is checked for its
+    type and range here, before any case runs; a bad one is a DomainError.
+    """
 
     B_values: list[float] = field(default_factory=lambda: [0.0, 2.0, 5.0, 10.0])
     l_values: list[int] = field(default_factory=lambda: [0, 1, 2])
@@ -57,16 +82,23 @@ class RunConfig:
     z_min: float = numerov.DEFAULT_Z_MIN
     z_max: float = numerov.DEFAULT_Z_MAX
     n: int = numerov.DEFAULT_N
-    csv_path: str | None = None
-    json_path: str | None = None
 
     def __post_init__(self):
+        for name, (check, kind) in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if name.endswith("_values"):
+                valid = isinstance(value, (list, tuple)) and all(check(v) for v in value)
+            else:
+                valid = check(value)
+            if not valid:
+                raise DomainError(f"{name} must be {kind}, got {value!r}")
         if any(b < 0 for b in self.B_values):
             raise DomainError("B values must be non-negative")
         if any(l < 0 for l in self.l_values) or any(s < 0 for s in self.s_values):
             raise DomainError("l and s values must be non-negative")
         if self.j not in (0, 1):
             raise DomainError("j must be 0 or 1")
+        self.grid()  # raises DomainError for a bad domain or mesh size
 
     def grid(self) -> Grid:
         return Grid(self.z_min, self.z_max, self.n)
@@ -107,7 +139,7 @@ def compare_case(B: float, l: int, s: int, j: int, A_N: float) -> ComparisonRow:
     row = ComparisonRow(B=B, l=l, s=s, j=j, A_N=A_N)
     try:
         res = phase_integral.quantize(DimensionlessCase(B=B, l=l, s=s, j=j))
-    except Exception as exc:
+    except CornellboundError as exc:
         row.error = f"{type(exc).__name__}: {exc}"
         return row
     row.A_PhI = res.A

@@ -5,12 +5,37 @@ import json
 
 import pytest
 
-from cornellbound import cli, phase_integral
-from cornellbound.errors import BracketError
+from cornellbound import cli, numerov, phase_integral, report
+from cornellbound.errors import BracketError, NonConvergenceError
+from cornellbound.model import DimensionlessCase
+from cornellbound.numerov import Grid
 
 
 def run(argv):
     return cli.main(argv)
+
+
+def write_config(tmp_path, cfg) -> str:
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture
+def table_fails_at_B2(monkeypatch):
+    table = numerov.convergence_table
+
+    def fail_at_B2(case, grids, tracked):
+        if case.B == 2.0:
+            raise NonConvergenceError("forced failure")
+        return table(case, grids, tracked=tracked)
+
+    monkeypatch.setattr(numerov, "convergence_table", fail_at_B2)
+
+
+def sweep_values(B, l, ns, z_max):
+    grids = [Grid(1e-5, z_max, n) for n in ns]
+    return [a for _, a in numerov.convergence_table(DimensionlessCase(B=B, l=l), grids, tracked=True)]
 
 
 class TestNumerovCommand:
@@ -42,6 +67,41 @@ class TestNumerovCommand:
         assert code == 0
         assert out.count("A =") == 4
 
+    def test_config_round_trip(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, {"B_values": [2.0], "l_values": [1], "z_min": 1e-4, "z_max": 20.0, "n": 600})
+
+        def level(B, l, n):
+            a = numerov.solve(DimensionlessCase(B=B, l=l), Grid(1e-4, 20.0, n), 1).eigenvalues[0]
+            return f"{a:.10g}"
+
+        assert run(["numerov", "--config", cfg]) == 0
+        assert f"B=2 l=1  A = {level(2.0, 1, 600)}\n" in capsys.readouterr().out
+        assert run(["numerov", "--config", cfg, "-B", "0", "--grid", "700"]) == 0
+        assert f"B=0 l=1  A = {level(0.0, 1, 700)}\n" in capsys.readouterr().out
+
+    def test_convergence_sweep_config_round_trip(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, {"B_values": [2.0], "l_values": [1], "z_max": 15.0})
+        assert run(["numerov", "--config", cfg, "--grids", "8,16,32"]) == 0
+        cells = "  ".join(f"N={n}: {a:.6g}" for n, a in zip((8, 16, 32), sweep_values(2.0, 1, (8, 16, 32), 15.0)))
+        assert f"B=2 l=1  {cells}\n" in capsys.readouterr().out
+        assert run(["numerov", "--config", cfg, "--grids", "8,16,32", "-l", "0", "--zmax", "20"]) == 0
+        cells = "  ".join(f"N={n}: {a:.6g}" for n, a in zip((8, 16, 32), sweep_values(2.0, 0, (8, 16, 32), 20.0)))
+        assert f"B=2 l=0  {cells}\n" in capsys.readouterr().out
+
+    def test_convergence_sweep_reports_failures_per_case(self, capsys, table_fails_at_B2):
+        code = run(["numerov", "-B", "0,2", "-l", "0", "--grids", "8,16,32"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "B=0 l=0  N=8:" in captured.out
+        assert "B=2 l=0  FAILED: forced failure" in captured.err
+
+    @pytest.mark.parametrize("grids", [[], ["--grids", "8,16,32"]])
+    def test_invalid_value_is_configuration_error(self, capsys, grids):
+        assert run(["numerov", "-B", "-1", *grids]) == 1
+        captured = capsys.readouterr()
+        assert "configuration error: B values must be non-negative" in captured.err
+        assert captured.out == ""
+
 
 class TestPhaseCommand:
     def test_leading_order_value(self, capsys, tmp_path):
@@ -70,6 +130,15 @@ class TestPhaseCommand:
         err = capsys.readouterr().err
         assert code == 2
         assert "B=1e+06 l=2 s=0  FAILED: no ordering" in err
+
+    def test_config_round_trip(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, {"B_values": [2.0], "l_values": [1], "s_values": [1], "j": 0})
+        assert run(["phase", "--config", cfg]) == 0
+        A = phase_integral.quantize(DimensionlessCase(B=2.0, l=1, s=1, j=0)).A
+        assert f"B=2 l=1 s=1 j=0  A = {A:.10g}  " in capsys.readouterr().out
+        assert run(["phase", "--config", cfg, "--order", "1", "-s", "0"]) == 0
+        A = phase_integral.quantize(DimensionlessCase(B=2.0, l=1, s=0, j=1)).A
+        assert f"B=2 l=1 s=0 j=1  A = {A:.10g}  " in capsys.readouterr().out
 
 
 class TestCompareCommand:
@@ -105,6 +174,21 @@ class TestCompareCommand:
         assert code == 0
         assert "j=0" in out
 
+    def test_config_round_trip(self, capsys, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            {"B_values": [2.0], "l_values": [1], "s_values": [1], "j": 0, "z_min": 1e-4, "z_max": 20.0, "n": 600},
+        )
+
+        def A_N(n, s):
+            spectrum = numerov.solve(DimensionlessCase(B=2.0, l=1), Grid(1e-4, 20.0, n), s + 1)
+            return f"{spectrum.eigenvalues[s]:.8g}"
+
+        assert run(["compare", "--config", cfg]) == 0
+        assert f"B=2 l=1 s=1 j=0  A_N = {A_N(600, 1)}  " in capsys.readouterr().out
+        assert run(["compare", "--config", cfg, "-s", "0", "--grid", "700"]) == 0
+        assert f"B=2 l=1 s=0 j=0  A_N = {A_N(700, 0)}  " in capsys.readouterr().out
+
     def test_bad_config_exit_1(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text("[1, 2]", encoding="utf-8")
@@ -113,6 +197,22 @@ class TestCompareCommand:
 
     def test_missing_config_exit_1(self, capsys):
         assert run(["compare", "--config", "/nonexistent/cfg.json"]) == 1
+
+
+@pytest.mark.parametrize("command", ["numerov", "phase", "compare", "rates"])
+@pytest.mark.parametrize(
+    "cfg, message",
+    [
+        ({"B_values": 2}, "B_values must be a list of finite numbers"),
+        ({"n": "600"}, "n must be an integer"),
+        ({"grid": 600}, "unknown config key(s) grid"),
+    ],
+)
+def test_malformed_config_is_configuration_error(capsys, tmp_path, command, cfg, message):
+    assert run([command, "--config", write_config(tmp_path, cfg)]) == 1
+    captured = capsys.readouterr()
+    assert f"configuration error: {message}" in captured.err
+    assert captured.out == ""
 
 
 class TestRatesCommand:
@@ -136,6 +236,34 @@ class TestRatesCommand:
         assert code == 0
         assert "B=0 l=0  N_k" in out
 
+    def test_config_round_trip(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, {"B_values": [2.0], "l_values": [1], "z_max": 15.0})
+        ns = (8, 16, 32, 64)
+
+        def rates_line(B, l, z_max):
+            nk = report.rate_N(sweep_values(B, l, ns, z_max))
+            return f"B={B:g} l={l}  N_k = " + ", ".join(f"{v:.2f}" for v in nk) + "\n"
+
+        assert run(["rates", "--config", cfg, "--grids", "8,16,32,64"]) == 0
+        assert rates_line(2.0, 1, 15.0) in capsys.readouterr().out
+        assert run(["rates", "--config", cfg, "--grids", "8,16,32,64", "-B", "0", "--zmax", "20"]) == 0
+        assert rates_line(0.0, 1, 20.0) in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv, label",
+        [(["--values", "1,1,1"], "values"), (["-B", "0", "-l", "0", "--grids", "8,8,8"], "B=0 l=0")],
+    )
+    def test_degenerate_sequence_fails_per_sequence(self, capsys, argv, label):
+        assert run(["rates", *argv]) == 2
+        assert f"{label}  FAILED: consecutive values coincide at k=2" in capsys.readouterr().err
+
+    def test_failed_case_does_not_stop_the_others(self, capsys, table_fails_at_B2):
+        code = run(["rates", "-B", "2,0", "-l", "0", "--grids", "32,64,128"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "B=2 l=0  FAILED: forced failure" in captured.err
+        assert "B=0 l=0  N_k = " in captured.out
+
     def test_missing_inputs_exit_1(self, capsys):
         assert run(["rates"]) == 1
         assert "need --values" in capsys.readouterr().err
@@ -153,6 +281,32 @@ class TestRatesCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "2.00" in out
+
+
+class TestFailureTaxonomy:
+    def test_non_package_error_escapes_phase(self, monkeypatch):
+        def bug(case):
+            raise TypeError("a bug, not a failed case")
+
+        monkeypatch.setattr(phase_integral, "quantize", bug)
+        with pytest.raises(TypeError, match="a bug"):
+            run(["phase", "-B", "0", "-l", "0", "-s", "0"])
+
+    def test_non_package_error_escapes_compare_case(self, monkeypatch):
+        def bug(case):
+            raise TypeError("a bug, not a failed case")
+
+        monkeypatch.setattr(phase_integral, "quantize", bug)
+        with pytest.raises(TypeError, match="a bug"):
+            report.compare_case(0.0, 0, 0, 1, 2.338)
+
+    def test_package_error_is_recorded_by_compare_case(self, monkeypatch):
+        def fail(case):
+            raise BracketError("forced failure")
+
+        monkeypatch.setattr(phase_integral, "quantize", fail)
+        row = report.compare_case(0.0, 0, 0, 1, 2.338)
+        assert row.error == "BracketError: forced failure"
 
 
 class TestParser:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from cornellbound import phase_integral as pi_mod
-from cornellbound.errors import DomainError, OrderingError
+from cornellbound.errors import DomainError, NonConvergenceError, NoValidRootError, OrderingError
 from cornellbound.model import DimensionlessCase, Q2_of_z, R_of_z
 from cornellbound.phase_integral import (
     A_from_x2,
@@ -184,6 +184,22 @@ class TestBasePoint:
     def test_u0_at_m1(self):
         u0 = solve_u0(1.0, 0.3)
         assert (u0.re, u0.im) == (0.0, pytest.approx(math.pi / 4))
+
+    def test_u0_lets_non_package_errors_escape(self, monkeypatch):
+        def bug(w, m):
+            raise TypeError("a bug, not an invalid branch")
+
+        monkeypatch.setattr(pi_mod.special, "inverse_sn", bug)
+        with pytest.raises(TypeError, match="a bug"):
+            solve_u0(0.5, 0.3)
+
+    def test_u0_skips_branches_that_raise_package_errors(self, monkeypatch):
+        def invalid(w, m):
+            raise NonConvergenceError("forced failure")
+
+        monkeypatch.setattr(pi_mod.special, "inverse_sn", invalid)
+        with pytest.raises(NoValidRootError, match="forced failure"):
+            solve_u0(0.5, 0.3)
 
     def test_u0_satisfies_quadratic_and_kills_C(self):
         rng = np.random.default_rng(73)

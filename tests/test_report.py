@@ -88,6 +88,31 @@ class TestRunConfig:
         with pytest.raises(DomainError):
             RunConfig(j=3)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"B_values": 2.0},
+            {"B_values": ["2"]},
+            {"B_values": [float("nan")]},
+            {"l_values": [1.0]},
+            {"s_values": [True]},
+            {"j": "1"},
+            {"n": "600"},
+            {"n": 600.0},
+            {"z_min": None},
+            {"z_max": float("inf")},
+        ],
+    )
+    def test_wrong_types_are_domain_errors(self, fields):
+        with pytest.raises(DomainError, match=next(iter(fields))):
+            RunConfig(**fields)
+
+    def test_invalid_grid_is_rejected_up_front(self):
+        with pytest.raises(DomainError, match="z_max must exceed z_min"):
+            RunConfig(z_min=1.0, z_max=0.5)
+        with pytest.raises(DomainError, match="at least 8 subintervals"):
+            RunConfig(n=4)
+
 
 class TestCompare:
     def test_compare_case_populates_row(self):
