@@ -18,7 +18,7 @@ def main():
     header = "  ".join(f"N={n:>4}" for n in NS)
     print(f"{'(B, l)':>8}  {header}")
     for B, l in CASES:
-        table = convergence_table(DimensionlessCase(B=B, l=l), grids, tracked=True)
+        table = convergence_table(DimensionlessCase(B=B, l=l), grids)
         values = [a for _, a in table]
         cells = "  ".join(f"{a:8.4f}" for a in values)
         print(f"({B:4g}, {l})  {cells}")

@@ -2,22 +2,14 @@
 
 Shows the pieces the phase-integral engine is built from: complete
 elliptic integrals, complex-argument Jacobi functions and their identity
-structure, the epsilon function, and the principal inverse of sn.
+structure, and the principal inverse of sn.
 
 Run:  python demos/elliptic_showcase.py
 """
 
 import math
 
-from cornellbound.special import (
-    ellip_E,
-    ellip_K,
-    ellip_Pi,
-    inverse_sn,
-    jacobi_complex,
-    jacobi_epsilon,
-    z_integrals,
-)
+from cornellbound.special import ellip_E, ellip_K, ellip_Pi, inverse_sn, jacobi_complex
 
 
 def main():
@@ -37,12 +29,6 @@ def main():
     print(f"  dn = {dn:.12f}")
     print(f"  sn^2 + cn^2 - 1       = {sn * sn + cn * cn - 1:+.2e}")
     print(f"  m sn^2 + dn^2 - 1     = {m * sn * sn + dn * dn - 1:+.2e}")
-    print()
-
-    eps = jacobi_epsilon(u, m)
-    print(f"epsilon(u) = {eps:.12f}   (epsilon(K) = E: {jacobi_epsilon(ellip_K(m), m) - ellip_E(m):+.2e})")
-    z1, z2, z3 = z_integrals(u, m)
-    print(f"Z integrals: Z1 = {z1:.6f}, Z2 = {z2:.6f}, Z3 = {z3:.6f}")
     print()
 
     back = inverse_sn(sn, m)

@@ -21,12 +21,17 @@ comes from the flag if given, else from the key of the JSON file named by
   z_max     --zmax   50;   20 for mesh sweeps
   n         --grid   5000   (numerov without --grids, compare)
 
-rates computes sequences only when both B and l values are given; the
---values and --csv inputs take precedence over them.
+phase and compare need at least one s value.  rates computes sequences
+only when both B and l values are given; the --values and --csv inputs
+take precedence over them.
+
+--out is accepted by phase (the levels as JSON) and compare (the table as
+CSV, the full diagnostics as JSON at OUT.json).
 
 Exit codes: 0 full success; 1 configuration error (an unreadable config,
 an unknown key, or a value of the wrong type or range, all checked
-before any case runs); 2 partial per-case failures (each reported as a
+before any case runs, or a rates --csv table without the comparison
+columns); 2 partial per-case failures (each reported as a
 FAILED line on stderr; the other cases still run).
 """
 
@@ -71,7 +76,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--grid", type=int, default=None, help="number of mesh subintervals N")
     p.add_argument("--zmin", type=float, default=None)
     p.add_argument("--zmax", type=float, default=None)
-    p.add_argument("--out", default=None, help="output path (CSV); JSON goes to OUT.json")
 
 
 def _add_levels(p: argparse.ArgumentParser) -> None:
@@ -99,11 +103,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("phase", help="phase-integral quantization")
     _add_common(p)
     _add_levels(p)
+    p.add_argument("--out", default=None, help="write the levels as JSON to OUT")
     p.set_defaults(run=cmd_phase)
 
     p = sub.add_parser("compare", help="sweep both methods and emit |Delta A| tables")
     _add_common(p)
     _add_levels(p)
+    p.add_argument("--out", default=None, help="output path (CSV); JSON goes to OUT.json")
     p.set_defaults(run=cmd_compare)
 
     p = sub.add_parser("rates", help="convergence-rate diagnostics N_k / M_k")
@@ -143,6 +149,14 @@ def resolve_config(args, **defaults) -> report.RunConfig:
     return report.RunConfig(**values)
 
 
+def _levels_config(args, **defaults) -> report.RunConfig:
+    """resolve_config for the subcommands that compute levels s (phase, compare)."""
+    config = resolve_config(args, **defaults)
+    if not config.s_values:
+        raise DomainError("s_values must not be empty")
+    return config
+
+
 def _header() -> None:
     print(f"# cornellbound | adopted convention: {report.B_DEFINITION}")
 
@@ -164,7 +178,7 @@ def cmd_numerov(args) -> int:
             try:
                 case = DimensionlessCase(B=B, l=l)
                 if args.grids:
-                    table = numerov.convergence_table(case, grids, tracked=True)
+                    table = numerov.convergence_table(case, grids)
                     print(f"{label}  " + "  ".join(f"N={n}: {a:.6g}" for n, a in table))
                 elif args.tracked:
                     print(f"{label}  tracked A = {numerov.tracked_level(case, grid):.10g}")
@@ -178,7 +192,7 @@ def cmd_numerov(args) -> int:
 
 
 def cmd_phase(args) -> int:
-    config = resolve_config(args, B_values=[0.0], l_values=[0])
+    config = _levels_config(args, B_values=[0.0], l_values=[0])
     _header()
     failures = 0
     results = []
@@ -220,7 +234,7 @@ def cmd_phase(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    config = resolve_config(args)
+    config = _levels_config(args)
     _header()
     rows = report.compare_sweep(config)
     for r in rows:
@@ -253,7 +267,7 @@ def cmd_rates(args) -> int:
             for l in config.l_values:
                 label = f"B={B:g} l={l}"
                 try:
-                    table = numerov.convergence_table(DimensionlessCase(B=B, l=l), grids, tracked=True)
+                    table = numerov.convergence_table(DimensionlessCase(B=B, l=l), grids)
                 except CornellboundError as exc:
                     failures += 1
                     _report_failure(label, exc)

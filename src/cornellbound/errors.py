@@ -38,7 +38,3 @@ class NoValidRootError(CornellboundError, RuntimeError):
 
 class DegenerateDifferenceError(CornellboundError, ValueError):
     """Consecutive values coincide; a convergence rate is undefined."""
-
-
-class UnsupportedOrderError(CornellboundError, ValueError):
-    """Quantization orders beyond j = 1 are not implemented."""

@@ -25,8 +25,11 @@ shift-invert operator of a Lanczos iteration (`eigsh`) for the lowest
 solved densely.  Memory and time per factorization are O(n).
 
 The dense matrices of the original pencil and of the symmetric operator
-remain as `NumerovSystem` methods: tests use them as an independent
-reference and `pencil_residual` checks eigenvectors against them.
+(`kinetic_matrix`, `b_matrix`, `left_matrix`, `symmetric_operator`) and
+the `eig` import have no production caller.  They stay because the tests
+use the matrices as an independent reference (`pencil_residual` checks
+eigenvectors against them) and the benchmark tracer wraps all of them by
+name.
 """
 
 from __future__ import annotations
@@ -53,6 +56,8 @@ DEFAULT_N = 5000
 #: domain of the reference convergence tables and of the CLI mesh sweeps
 SWEEP_Z_MIN = 1e-5
 SWEEP_Z_MAX = 20.0
+#: the tracked level is the smallest-|A| one among this many lowest levels
+TRACKED_WINDOW = 16
 
 
 @dataclass(frozen=True)
@@ -299,27 +304,14 @@ def solve(case: DimensionlessCase, grid: Grid, count: int, eigenvectors: bool = 
     )
 
 
-def tracked_level(case: DimensionlessCase, grid: Grid, window: int = 16) -> float:
-    """Smallest-|A| level among the lowest `window` eigenvalues."""
-    count = min(window, grid.n - 1)
-    return solve(case, grid, count).tracked_value()
+def tracked_level(case: DimensionlessCase, grid: Grid) -> float:
+    """Smallest-|A| level among the lowest `TRACKED_WINDOW` eigenvalues."""
+    return solve(case, grid, min(TRACKED_WINDOW, grid.n - 1)).tracked_value()
 
 
-def convergence_table(
-    case: DimensionlessCase, grids: list[Grid], tracked: bool = True, level: int = 0
-) -> list[tuple[int, float]]:
-    """Per-grid eigenvalue, for mesh-refinement studies.
-
-    With tracked=True (the reference-table convention) each entry is the
-    smallest-|A| level; otherwise the `level`-th ascending eigenvalue.
-    """
+def convergence_table(case: DimensionlessCase, grids: list[Grid]) -> list[tuple[int, float]]:
+    """Per-grid tracked level (the reference-table convention), for
+    mesh-refinement studies."""
     if len(grids) < 3:
         raise DomainError("need at least 3 grids for a convergence table")
-    out = []
-    for g in grids:
-        if tracked:
-            a = tracked_level(case, g)
-        else:
-            a = float(solve(case, g, level + 1).eigenvalues[level])
-        out.append((g.n, a))
-    return out
+    return [(g.n, tracked_level(case, g)) for g in grids]

@@ -26,18 +26,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from . import special
-from .errors import (
-    BracketError,
-    CornellboundError,
-    DomainError,
-    NoValidRootError,
-    OrderingError,
-    UnsupportedOrderError,
-)
+from .errors import BracketError, CornellboundError, DomainError, NoValidRootError, OrderingError
 from .model import DimensionlessCase, Q2_of_z, R_of_z
 from .special import ComplexPoint, ellip_E, ellip_K, ellip_Pi, jacobi_complex
 
@@ -123,50 +115,25 @@ def L1_closed(tp: TurningPoints) -> float:
     )
 
 
-def L1_quadrature(tp: TurningPoints) -> float:
-    """Leading integral by adaptive quadrature of its real form.
-
-    2 k^2 d^3 alpha^2 * integral over [0, K(m)] of
-    sn^2 cn^2 dn^2 / (1 - alpha^2 sn^2); the slow cross-check for
-    :func:`L1_closed`.
-    """
-    m, a2 = tp.m, tp.alpha2
-    K = ellip_K(m)
-
-    def integrand(u):
-        sn, cn, dn = special.jacobi_sn_cn_dn(u, m)
-        return sn * sn * cn * cn * dn * dn / (1.0 - a2 * sn * sn)
-
-    val, _ = quad(integrand, 0.0, K, limit=300, epsabs=1e-13, epsrel=1e-13)
-    return 2.0 * m * tp.d3 * a2 * val
-
-
 class L3Coefficients(NamedTuple):
-    F1: float
-    F2: float
-    F3: float
     A_cal: float
     B_cal: float
     G: float
 
 
 def L3_coefficients(m: float, alpha2: float) -> L3Coefficients:
-    """Partial-fraction and assembled coefficients of the L3 reduction.
+    """Assembled coefficients of the L3 reduction.
 
-    F1, F2, F3 split (1 - a2 x)(1 + m - 3 m x) / [x (1-x)(1-mx)];
     Acal and Bcal multiply E(m) and K(m) in the closed L3; G is the
     coefficient of cn sn / dn in the boundary term.
     """
     if abs(m - 1.0) < DEGENERACY_TOL:
         raise DomainError("L3 coefficients degenerate at m = 1")
     a2 = alpha2
-    F1 = 1.0 + m
-    F2 = (1.0 - a2) * (1.0 - 2.0 * m) / (1.0 - m)
-    F3 = (a2 - m) * m * (m - 2.0) / (1.0 - m)
     A_cal = -(2.0 * m**3 - (a2 + 3.0) * m**2 + (4.0 * a2 - 3.0) * m + 2.0 - a2) / (1.0 - m) ** 2
     B_cal = (-(m**2) + 2.0 * (a2 - 1.0) * m + 2.0 - a2) / (1.0 - m)
     G = (m**3 - 3.0 * m**2 + 2.0 * m + m * (m * m - 1.0) * a2) / (1.0 - m) ** 2
-    return L3Coefficients(F1, F2, F3, A_cal, B_cal, G)
+    return L3Coefficients(A_cal, B_cal, G)
 
 
 def _boundary_numerator(u0: complex, m: float, alpha2: float) -> complex:
@@ -264,15 +231,13 @@ def _phase_sum(x2: float, case: DimensionlessCase) -> float:
     return total
 
 
-def quantize(case: DimensionlessCase, x2_cap: float | None = None) -> QuantizationResult:
+def quantize(case: DimensionlessCase) -> QuantizationResult:
     """Solve the truncated quantization condition for the level of `case`.
 
     Finds the x2 with L1 (+ L3 for j = 1) = (s + 1/2) pi by a geometric
     bracket scan plus Brent refinement, then reconstructs A and verifies
     the boundary-term base point.
     """
-    if case.j not in (0, 1):
-        raise UnsupportedOrderError("only truncation orders j = 0 and j = 1 are supported")
     target = (case.s + 0.5) * math.pi
 
     def phase_residual(x2: float) -> float:
@@ -285,7 +250,7 @@ def quantize(case: DimensionlessCase, x2_cap: float | None = None) -> Quantizati
         except (OrderingError, DomainError):
             return None
 
-    cap = x2_cap if x2_cap is not None else max(10.0, 3.0 * (case.s + 1.0) + case.B)
+    cap = max(10.0, 3.0 * (case.s + 1.0) + case.B)
     bracket = None
     while bracket is None:
         npts = max(200, int(120 * math.log10(cap / 1e-6)))

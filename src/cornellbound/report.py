@@ -23,7 +23,9 @@ from .errors import CornellboundError, DegenerateDifferenceError, DomainError, N
 from .model import DimensionlessCase
 from .numerov import Grid
 
-CSV_FIELDS = ["B", "l", "s", "j", "A_N", "A_PhI", "delta_A", "residual", "C_abs"]
+#: the table schema: CSV column (a ComparisonRow field) -> its type, in file order
+_COLUMN_TYPES = dict(B=float, l=int, s=int, j=int, A_N=float, A_PhI=float, delta_A=float, residual=float, C_abs=float)
+CSV_FIELDS = list(_COLUMN_TYPES)
 
 #: the adopted definition of the dimensionless Coulomb strength, logged in
 #: every run header for traceability
@@ -177,18 +179,6 @@ def compare_sweep(config: RunConfig) -> list[ComparisonRow]:
     return rows
 
 
-def delta_series(rows: list[ComparisonRow]) -> dict[tuple[float, int, int], list[tuple[int, float]]]:
-    """Group rows into (s, |Delta A|) series keyed by (B, l, j): plot data."""
-    series: dict[tuple[float, int, int], list[tuple[int, float]]] = {}
-    for r in rows:
-        if r.error is not None:
-            continue
-        series.setdefault((r.B, r.l, r.j), []).append((r.s, r.delta_A))
-    for key in series:
-        series[key].sort()
-    return series
-
-
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
@@ -200,46 +190,36 @@ def write_csv(rows: list[ComparisonRow], path) -> None:
         writer.writerow(CSV_FIELDS)
         for r in rows:
             writer.writerow(
-                [_fmt(r.B), r.l, r.s, r.j, _fmt(r.A_N), _fmt(r.A_PhI), _fmt(r.delta_A), _fmt(r.residual), _fmt(r.C_abs)]
+                _fmt(getattr(r, name)) if kind is float else getattr(r, name)
+                for name, kind in _COLUMN_TYPES.items()
             )
 
 
 def read_csv(path) -> list[ComparisonRow]:
-    """Parse a CSV written by :func:`write_csv`."""
-    rows = []
+    """Parse a CSV written by :func:`write_csv`.
+
+    A header without every column of `CSV_FIELDS`, or a cell that does not
+    parse as its column's type, is a DomainError.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
-        for rec in csv.DictReader(fh):
-            rows.append(
-                ComparisonRow(
-                    B=float(rec["B"]),
-                    l=int(rec["l"]),
-                    s=int(rec["s"]),
-                    j=int(rec["j"]),
-                    A_N=float(rec["A_N"]),
-                    A_PhI=float(rec["A_PhI"]),
-                    delta_A=float(rec["delta_A"]),
-                    residual=float(rec["residual"]),
-                    C_abs=float(rec["C_abs"]),
-                )
-            )
-    return rows
+        reader = csv.DictReader(fh)
+        missing = [name for name in CSV_FIELDS if name not in (reader.fieldnames or [])]
+        if missing:
+            raise DomainError(f"{path} lacks the CSV column(s) {', '.join(missing)}")
+        try:
+            return [
+                ComparisonRow(**{name: kind(rec[name]) for name, kind in _COLUMN_TYPES.items()})
+                for rec in reader
+            ]
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"{path} line {reader.line_num}: {exc}") from exc
 
 
 def rows_to_json(rows: list[ComparisonRow]) -> list[dict]:
     out = []
     for r in rows:
-        d = {
-            "B": r.B,
-            "l": r.l,
-            "s": r.s,
-            "j": r.j,
-            "A_N": r.A_N,
-            "A_PhI": r.A_PhI,
-            "delta_A": r.delta_A,
-            "residual": r.residual,
-            "C_abs": r.C_abs,
-            "error": r.error,
-        }
+        d = {name: getattr(r, name) for name in CSV_FIELDS}
+        d["error"] = r.error
         if r.u0 is not None:
             d["u0"] = {"re": r.u0.real, "im": r.u0.imag}
         out.append(d)

@@ -2,8 +2,7 @@
 
 Numerical bedrock for the phase-integral engine: K, E, Pi via Carlson
 symmetric forms (scipy), the Jacobi triple sn/cn/dn for real and complex
-argument, the Jacobi epsilon function (the integral of dn^2), the inverse
-of sn, and the Z antiderivatives 1/sn^2, 1/cn^2, 1/dn^2.
+argument, and the principal inverse of sn.
 
 Complex arguments are handled with the addition theorems applied to
 u = x + iy, expressing the functions of the purely imaginary part through
@@ -18,35 +17,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ellipe, ellipeinc, ellipj, ellipk, elliprf, elliprj
+from scipy.special import ellipe, ellipj, ellipk, elliprf, elliprj
 
 from .errors import DomainError, NonConvergenceError, SingularPointError
 
 # Magnitude below which sn/cn/dn count as vanishing at a point where a
 # nonzero value is required.
 SINGULAR_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class EllipticModulus:
-    """Squared modulus m = k^2 of an elliptic integral or function."""
-
-    m: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.m <= 1.0):
-            raise DomainError(f"modulus parameter m={self.m} outside [0, 1]")
-
-
-@dataclass(frozen=True)
-class Characteristic:
-    """Characteristic n of the third-kind integral (n < 1, real case)."""
-
-    n: float
-
-    def __post_init__(self):
-        if not self.n < 1.0:
-            raise DomainError(f"characteristic n={self.n} must satisfy n < 1")
 
 
 @dataclass(frozen=True)
@@ -65,14 +42,14 @@ class ComplexPoint:
 
 
 def _m_value(m) -> float:
-    m = m.m if isinstance(m, EllipticModulus) else float(m)
+    m = float(m)
     if not (0.0 <= m <= 1.0):
         raise DomainError(f"modulus parameter m={m} outside [0, 1]")
     return m
 
 
 def _n_value(n) -> float:
-    n = n.n if isinstance(n, Characteristic) else float(n)
+    n = float(n)
     if not n < 1.0:
         raise DomainError(f"characteristic n={n} must satisfy n < 1")
     return n
@@ -162,56 +139,6 @@ def jacobi_complex(u, m) -> tuple[complex, complex, complex]:
     cn = (cx * cy - sx * sy * dx * dy) / den
     dn = (dx * dy - m * sx * sy * cx * cy) / den
     return sn, cn, dn
-
-
-def _epsilon_real(u: float, m: float) -> float:
-    """Integral of dn^2 from 0 to real u."""
-    if m == 0.0:
-        return u
-    if m == 1.0:
-        return math.tanh(u)
-    K = float(ellipk(m))
-    E = float(ellipe(m))
-    # quasi-periodicity: eps(u + 2K) = eps(u) + 2E; odd in u
-    n = math.floor(u / (2.0 * K) + 0.5)
-    r = u - 2.0 * n * K  # r in [-K, K]
-    sign = 1.0
-    if r < 0.0:
-        r, sign = -r, -1.0
-    sn, _, _, _ = ellipj(r, m)
-    base = float(ellipeinc(math.asin(min(1.0, max(-1.0, sn))), m))
-    return sign * base + 2.0 * n * E
-
-
-def _epsilon_imag(y: float, m: float) -> complex:
-    """Jacobi epsilon at the purely imaginary argument i*y, parameter m.
-
-    eps(iy, m) = i [ y - eps(y, 1-m) + dn(y,1-m) sn(y,1-m) / cn(y,1-m) ].
-    """
-    s, c, d, _ = ellipj(y, 1.0 - m)
-    if abs(c) < SINGULAR_TOL:
-        raise SingularPointError(f"epsilon pole at u = {1j * y}")
-    return 1j * (y - _epsilon_real(y, 1.0 - m) + d * s / c)
-
-
-def jacobi_epsilon(u, m):
-    """Jacobi epsilon function: the antiderivative of dn^2 vanishing at 0.
-
-    Accepts real or complex u; satisfies eps(K(m), m) = E(m).  The complex
-    extension uses the addition theorem
-    eps(u+v) = eps(u) + eps(v) - m sn(u) sn(v) sn(u+v) with v = iy.
-    """
-    m = _m_value(m)
-    u = _u_value(u)
-    x, y = u.real, u.imag
-    if y == 0.0:
-        return _epsilon_real(x, m)
-    if x == 0.0:
-        return _epsilon_imag(y, m)
-    snx, _, _ = jacobi_sn_cn_dn(x, m)
-    sny, _, _ = _jacobi_imag(y, m)
-    snu, _, _ = jacobi_complex(u, m)
-    return _epsilon_real(x, m) + _epsilon_imag(y, m) - m * snx * sny * snu
 
 
 def inverse_sn(w, m) -> ComplexPoint:
@@ -307,26 +234,3 @@ def _inverse_sn_raw(w: complex, m: float) -> complex:
     if best is None:
         raise NonConvergenceError(f"inverse_sn grid search failed for w={w}, m={m}")
     return _newton_sn(best, w, m)
-
-
-def z_integrals(u, m) -> tuple[complex, complex, complex]:
-    """Antiderivative values of 1/sn^2, 1/cn^2, 1/dn^2 at complex u.
-
-    Closed forms in terms of sn, cn, dn and the epsilon function:
-      Z1 = -cn dn / sn + u - eps(u)
-      Z2 = (dn sn / cn)/(1-m) + u - eps(u)/(1-m)
-      Z3 = -(m/(1-m)) cn sn / dn + eps(u)/(1-m)
-    Raises SingularPointError if any of sn, cn, dn vanishes at u.
-    """
-    m = _m_value(m)
-    if m == 1.0:
-        raise DomainError("Z integrals degenerate at m = 1")
-    u = _u_value(u)
-    sn, cn, dn = jacobi_complex(u, m)
-    if min(abs(sn), abs(cn), abs(dn)) < SINGULAR_TOL:
-        raise SingularPointError(f"sn, cn, dn must all be nonzero at u = {u}")
-    eps = jacobi_epsilon(u, m)
-    z1 = -cn * dn / sn + u - eps
-    z2 = dn * sn / cn / (1.0 - m) + u - eps / (1.0 - m)
-    z3 = -m / (1.0 - m) * cn * sn / dn + eps / (1.0 - m)
-    return z1, z2, z3

@@ -1,4 +1,4 @@
-"""Independent slow oracles used only by the tests.
+"""Independent slow oracles and reference routines used only by the tests.
 
 Everything here deliberately avoids the code paths it checks: the elliptic
 integrals come from adaptive quadrature of their defining single integrals,
@@ -6,6 +6,11 @@ the complex Jacobi values from mpmath's theta-function based ellipfun, the
 Airy zero from a Maclaurin series plus bisection, and the contour integral
 for the third-order correction from Gauss-Legendre panels on an explicit
 straight path.
+
+The reference routines at the end (L1 by quadrature, the Jacobi epsilon
+function, the Z antiderivatives and the partial fractions of the L3
+integrand) build on the library's Jacobi functions, but not on the closed
+forms of L1 and L3 that they check.
 """
 
 from __future__ import annotations
@@ -15,6 +20,10 @@ import math
 import mpmath as mp
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import ellipe, ellipeinc, ellipj, ellipk
+
+from cornellbound.errors import DomainError, SingularPointError
+from cornellbound.special import SINGULAR_TOL, ellip_K, jacobi_complex, jacobi_sn_cn_dn
 
 
 def ellip_K_quad(m: float) -> float:
@@ -103,3 +112,99 @@ def L3_contour_quad(m: float, alpha2: float, d3: float, u0: complex, panels: int
         s2 = sn * sn
         total += wi * (1.0 - alpha2 * s2) * (1.0 + m - 3.0 * m * s2) / (s2 * cn * cn * dn * dn)
     return total * K * 0.5 / (12.0 * d3 * m * alpha2)
+
+
+def L1_quadrature(tp) -> float:
+    """Leading integral by adaptive quadrature of its real form.
+
+    2 k^2 d^3 alpha^2 * integral over [0, K(m)] of
+    sn^2 cn^2 dn^2 / (1 - alpha^2 sn^2), for the TurningPoints `tp`.
+    """
+    m, a2 = tp.m, tp.alpha2
+    K = ellip_K(m)
+
+    def integrand(u):
+        sn, cn, dn = jacobi_sn_cn_dn(u, m)
+        return sn * sn * cn * cn * dn * dn / (1.0 - a2 * sn * sn)
+
+    val, _ = quad(integrand, 0.0, K, limit=300, epsabs=1e-13, epsrel=1e-13)
+    return 2.0 * m * tp.d3 * a2 * val
+
+
+def L3_partial_fractions(m: float, a2: float) -> tuple[float, float, float]:
+    """F1, F2, F3 splitting (1 - a2 x)(1 + m - 3 m x) / [x (1-x)(1-mx)]."""
+    F1 = 1.0 + m
+    F2 = (1.0 - a2) * (1.0 - 2.0 * m) / (1.0 - m)
+    F3 = (a2 - m) * m * (m - 2.0) / (1.0 - m)
+    return F1, F2, F3
+
+
+def _epsilon_real(u: float, m: float) -> float:
+    """Integral of dn^2 from 0 to real u."""
+    if m == 0.0:
+        return u
+    if m == 1.0:
+        return math.tanh(u)
+    K = float(ellipk(m))
+    E = float(ellipe(m))
+    # quasi-periodicity: eps(u + 2K) = eps(u) + 2E; odd in u
+    n = math.floor(u / (2.0 * K) + 0.5)
+    r = u - 2.0 * n * K  # r in [-K, K]
+    sign = 1.0
+    if r < 0.0:
+        r, sign = -r, -1.0
+    sn, _, _, _ = ellipj(r, m)
+    base = float(ellipeinc(math.asin(min(1.0, max(-1.0, sn))), m))
+    return sign * base + 2.0 * n * E
+
+
+def _epsilon_imag(y: float, m: float) -> complex:
+    """Jacobi epsilon at the purely imaginary argument i*y, parameter m.
+
+    eps(iy, m) = i [ y - eps(y, 1-m) + dn(y,1-m) sn(y,1-m) / cn(y,1-m) ].
+    """
+    s, c, d, _ = ellipj(y, 1.0 - m)
+    if abs(c) < SINGULAR_TOL:
+        raise SingularPointError(f"epsilon pole at u = {1j * y}")
+    return 1j * (y - _epsilon_real(y, 1.0 - m) + d * s / c)
+
+
+def jacobi_epsilon(u, m: float):
+    """Jacobi epsilon function: the antiderivative of dn^2 vanishing at 0.
+
+    Accepts real or complex u; satisfies eps(K(m), m) = E(m).  The complex
+    extension uses the addition theorem
+    eps(u+v) = eps(u) + eps(v) - m sn(u) sn(v) sn(u+v) with v = iy.
+    """
+    u = complex(u)
+    x, y = u.real, u.imag
+    if y == 0.0:
+        return _epsilon_real(x, m)
+    if x == 0.0:
+        return _epsilon_imag(y, m)
+    snx, _, _ = jacobi_sn_cn_dn(x, m)
+    sny, _, _ = jacobi_complex(complex(0.0, y), m)
+    snu, _, _ = jacobi_complex(u, m)
+    return _epsilon_real(x, m) + _epsilon_imag(y, m) - m * snx * sny * snu
+
+
+def z_integrals(u, m: float) -> tuple[complex, complex, complex]:
+    """Antiderivative values of 1/sn^2, 1/cn^2, 1/dn^2 at complex u.
+
+    Closed forms in terms of sn, cn, dn and the epsilon function:
+      Z1 = -cn dn / sn + u - eps(u)
+      Z2 = (dn sn / cn)/(1-m) + u - eps(u)/(1-m)
+      Z3 = -(m/(1-m)) cn sn / dn + eps(u)/(1-m)
+    Raises SingularPointError if any of sn, cn, dn vanishes at u.
+    """
+    if m == 1.0:
+        raise DomainError("Z integrals degenerate at m = 1")
+    u = complex(u)
+    sn, cn, dn = jacobi_complex(u, m)
+    if min(abs(sn), abs(cn), abs(dn)) < SINGULAR_TOL:
+        raise SingularPointError(f"sn, cn, dn must all be nonzero at u = {u}")
+    eps = jacobi_epsilon(u, m)
+    z1 = -cn * dn / sn + u - eps
+    z2 = dn * sn / cn / (1.0 - m) + u - eps / (1.0 - m)
+    z3 = -m / (1.0 - m) * cn * sn / dn + eps / (1.0 - m)
+    return z1, z2, z3

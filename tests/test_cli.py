@@ -25,17 +25,17 @@ def write_config(tmp_path, cfg) -> str:
 def table_fails_at_B2(monkeypatch):
     table = numerov.convergence_table
 
-    def fail_at_B2(case, grids, tracked):
+    def fail_at_B2(case, grids):
         if case.B == 2.0:
             raise NonConvergenceError("forced failure")
-        return table(case, grids, tracked=tracked)
+        return table(case, grids)
 
     monkeypatch.setattr(numerov, "convergence_table", fail_at_B2)
 
 
 def sweep_values(B, l, ns, z_max):
     grids = [Grid(1e-5, z_max, n) for n in ns]
-    return [a for _, a in numerov.convergence_table(DimensionlessCase(B=B, l=l), grids, tracked=True)]
+    return [a for _, a in numerov.convergence_table(DimensionlessCase(B=B, l=l), grids)]
 
 
 class TestNumerovCommand:
@@ -215,6 +215,26 @@ def test_malformed_config_is_configuration_error(capsys, tmp_path, command, cfg,
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["phase", "compare"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_empty_s_values_is_configuration_error(capsys, tmp_path, command, source):
+    levels = ["-s", ""] if source == "flag" else ["--config", write_config(tmp_path, {"s_values": []})]
+    assert run([command, "-B", "0", "-l", "0", *levels]) == 1
+    captured = capsys.readouterr()
+    assert "configuration error: s_values must not be empty" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["numerov", "rates"])
+def test_out_is_rejected_where_nothing_is_written(capsys, tmp_path, command):
+    out_path = tmp_path / "n.csv"
+    with pytest.raises(SystemExit) as exc:
+        run([command, "-B", "0", "-l", "0", "--grid", "200", "--out", str(out_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --out" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 class TestRatesCommand:
     def test_explicit_values(self, capsys):
         seq = [1.0 + 0.3 * 0.25**k for k in range(5)]
@@ -267,6 +287,19 @@ class TestRatesCommand:
     def test_missing_inputs_exit_1(self, capsys):
         assert run(["rates"]) == 1
         assert "need --values" in capsys.readouterr().err
+
+    def test_empty_B_and_l_lists_are_accepted(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, {"B_values": [], "l_values": []})
+        assert run(["rates", "--config", cfg, "--values", "1.3,1.075,1.01875"]) == 0
+        assert "values  N_k = 2.00" in capsys.readouterr().out
+
+    def test_csv_without_comparison_columns_exit_1(self, capsys, tmp_path):
+        path = tmp_path / "partial.csv"
+        path.write_text("B,l\n0,0\n", encoding="utf-8")
+        assert run(["rates", "--csv", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "configuration error" in captured.err
+        assert "s, j, A_N, A_PhI, delta_A, residual, C_abs" in captured.err
 
     def test_csv_input(self, capsys, tmp_path):
         from cornellbound.report import ComparisonRow, write_csv

@@ -14,7 +14,6 @@ STDLIB_BASE = {
     errors.NonConvergenceError: RuntimeError,
     errors.NoValidRootError: RuntimeError,
     errors.DegenerateDifferenceError: ValueError,
-    errors.UnsupportedOrderError: ValueError,
 }
 
 

@@ -262,9 +262,3 @@ class TestConvergenceTable:
         grids = [Grid(**REF, n=n) for n in (64, 128)]
         with pytest.raises(DomainError):
             convergence_table(DimensionlessCase(B=0.0, l=0), grids)
-
-    def test_untracked_level_selection(self):
-        grids = [Grid(**REF, n=n) for n in (64, 128, 256)]
-        t0 = convergence_table(DimensionlessCase(B=0.0, l=0), grids, tracked=False, level=0)
-        t1 = convergence_table(DimensionlessCase(B=0.0, l=0), grids, tracked=False, level=1)
-        assert all(a1 > a0 for (_, a0), (_, a1) in zip(t0, t1))

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import pytest
 
@@ -15,7 +16,6 @@ from cornellbound.report import (
     RunConfig,
     compare_case,
     compare_sweep,
-    delta_series,
     rate_M,
     rate_N,
     read_csv,
@@ -54,7 +54,7 @@ class TestRateN:
 
     @pytest.mark.parametrize("B,l", sorted(PUBLISHED_RATES))
     def test_published_sets_from_reproduced_sequences(self, B, l):
-        table = convergence_table(DimensionlessCase(B=B, l=l), REF_GRIDS, tracked=True)
+        table = convergence_table(DimensionlessCase(B=B, l=l), REF_GRIDS)
         rates = rate_N([a for _, a in table])
         assert rates == pytest.approx(PUBLISHED_RATES[(B, l)], abs=0.006)
 
@@ -156,17 +156,6 @@ class TestCompare:
             assert r.error.startswith("DomainError: count must be between 1 and 7")
             assert math.isnan(r.A_N) and math.isnan(r.A_PhI)
 
-    def test_delta_series_grouping(self):
-        rows = [
-            ComparisonRow(B=2.0, l=0, s=1, j=1, delta_A=0.2),
-            ComparisonRow(B=2.0, l=0, s=0, j=1, delta_A=0.1),
-            ComparisonRow(B=0.0, l=0, s=0, j=1, delta_A=0.3),
-            ComparisonRow(B=2.0, l=0, s=2, j=1, error="boom"),
-        ]
-        series = delta_series(rows)
-        assert series[(2.0, 0, 1)] == [(0, 0.1), (1, 0.2)]
-        assert series[(0.0, 0, 1)] == [(0, 0.3)]
-
 
 class TestSerialization:
     def _rows(self):
@@ -194,6 +183,22 @@ class TestSerialization:
             assert b.A_N == pytest.approx(a.A_N, rel=1e-11)
             assert b.A_PhI == pytest.approx(a.A_PhI, rel=1e-11)
             assert b.delta_A == pytest.approx(a.delta_A, rel=1e-11)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("B,l,s\n0,0,0\n", "column(s) j, A_N, A_PhI, delta_A, residual, C_abs"),
+            ("", "column(s) B, l, s, j, A_N"),
+            (",".join(CSV_FIELDS) + "\n0,0,0,1,x,0,0,0,0\n", "line 2"),
+            (",".join(CSV_FIELDS) + "\n0,0,0,1\n", "line 2"),
+        ],
+        ids=["missing-columns", "empty-file", "bad-value", "short-row"],
+    )
+    def test_read_csv_rejects_malformed_tables(self, tmp_path, text, message):
+        path = tmp_path / "rows.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DomainError, match=re.escape(message)):
+            read_csv(path)
 
     def test_json_output(self, tmp_path):
         path = tmp_path / "rows.json"
