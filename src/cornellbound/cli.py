@@ -29,10 +29,11 @@ take precedence over them.
 CSV, the full diagnostics as JSON at OUT.json).
 
 Exit codes: 0 full success; 1 configuration error (an unreadable config,
-an unknown key, or a value of the wrong type or range, all checked
-before any case runs, or a rates --csv table without the comparison
-columns); 2 partial per-case failures (each reported as a
-FAILED line on stderr; the other cases still run).
+an unknown key, a value of the wrong type or range, numerov --levels
+outside 1..N-1 or fewer than 3 --grids, all checked before any case
+runs, or a rates --csv table without the comparison columns); 2 partial
+per-case failures (each reported as a FAILED line on stderr; the other
+cases still run).
 """
 
 from __future__ import annotations
@@ -170,6 +171,10 @@ def cmd_numerov(args) -> int:
     config = resolve_config(args, B_values=[0.0], l_values=[0], **sweep)
     grid = config.grid()
     grids = [Grid(config.z_min, config.z_max, n) for n in args.grids or []]
+    if args.grids is not None and len(grids) < 3:
+        raise DomainError("--grids needs at least 3 grids for a convergence table")
+    if not (args.grids or args.tracked or 1 <= args.levels < config.n):
+        raise DomainError(f"--levels must be between 1 and {config.n - 1}")
     _header()
     failures = 0
     for B in config.B_values:

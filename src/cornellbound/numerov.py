@@ -9,20 +9,26 @@ The fourth-order three-point scheme
 on a uniform lattice over [z_min, z_max] with Dirichlet ends becomes the
 pencil (-Ahat + Bhat Vhat, Bhat).  It is not symmetric for a non-constant
 potential, but Ahat and Bhat are Toeplitz tridiagonal, so they commute and
--Bhat^{-1} Ahat + Vhat has the same spectrum and is symmetric.  With
-psi = Bhat chi the levels solve the pentadiagonal pencil
+H = -Bhat^{-1} Ahat + Vhat has the same spectrum and is symmetric.  H is
+dense; its congruence by Bhat is the pentadiagonal pencil
 
-    K chi = A M chi,   K = -Ahat Bhat + Bhat Vhat Bhat,   M = Bhat^2,
+    K chi = A M chi,   K = Bhat H Bhat = -Ahat Bhat + Bhat Vhat Bhat,   M = Bhat^2,
 
-a congruence of the symmetric operator by Bhat: K and M are symmetric,
-M is positive definite, and K - sigma M is positive definite exactly when
+with psi = Bhat chi.  K and M are symmetric, M is positive definite, and
+K - sigma M = Bhat (H - sigma) Bhat is positive definite exactly when
 sigma lies below every level (Sylvester inertia).  `solve` bisects for
 such a shift between min V - 1 (valid because -Bhat^{-1} Ahat is positive
 definite) and the Rayleigh quotient K_ii/M_ii at argmin V, with
-`cholesky_banded` as the test; the last successful factor is the
-shift-invert operator of a Lanczos iteration (`eigsh`) for the lowest
-`count` levels.  When every level is requested the same (K, M) pencil is
-solved densely.  Memory and time per factorization are O(n).
+`cholesky_banded` as the test.  With U the last successful factor,
+
+    x -> Bhat U^{-1} U^{-T} Bhat x = Bhat (K - sigma M)^{-1} Bhat x = (H - sigma)^{-1} x
+
+is symmetric positive definite, so a standard-mode Lanczos iteration
+(`eigsh`) finds its largest eigenvalues theta, the levels are
+A = sigma + 1/theta, and its eigenvectors are the orthonormal psi.  Memory
+and time per operator application are O(n).  When ARPACK's default Krylov
+basis, min(n, max(2 count + 1, 20)) vectors, would span the whole space,
+the (K, M) pencil is solved densely instead.
 
 The dense matrices of the original pencil and of the symmetric operator
 (`kinetic_matrix`, `b_matrix`, `left_matrix`, `symmetric_operator`) and
@@ -37,7 +43,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded, eigh, solve_banded
 from scipy.linalg import eig  # noqa: F401  (benchmark traces wrap numerov.eig by name)
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
@@ -216,11 +221,13 @@ def assemble(case: DimensionlessCase, grid: Grid) -> NumerovSystem:
     return NumerovSystem(grid=grid, potential_values=v, a_main=-2.0 / d2, a_off=1.0 / d2)
 
 
-def _symmetric_sparse(ab: np.ndarray):
-    """The symmetric sparse matrix held in upper banded storage `ab`."""
-    return sparse.diags(
-        [ab[0, 2:], ab[1, 1:], ab[2], ab[1, 1:], ab[0, 2:]], [-2, -1, 0, 1, 2], format="csr"
-    )
+def _dense_symmetric(ab: np.ndarray) -> np.ndarray:
+    """The dense symmetric matrix held in upper banded storage `ab`."""
+    out = np.diag(ab[2])
+    for d in (1, 2):
+        upper = np.diag(ab[2 - d, d:], d)
+        out += upper + upper.T
+    return out
 
 
 def _certified_shift(k: np.ndarray, m: np.ndarray, v: np.ndarray) -> tuple[float, float, np.ndarray, int]:
@@ -252,12 +259,13 @@ def _certified_shift(k: np.ndarray, m: np.ndarray, v: np.ndarray) -> tuple[float
 def solve(case: DimensionlessCase, grid: Grid, count: int, eigenvectors: bool = False) -> Spectrum:
     """The `count` smallest dimensionless levels A on the given grid.
 
-    Shift-invert Lanczos on the pentadiagonal pencil (K, M) from a certified
-    shift below the whole spectrum, or a dense solve of the same pencil when
-    every level is requested (ARPACK needs count < size).  Eigenvectors are
-    psi = Bhat chi, orthonormal because chi is M-orthonormal.  The
-    diagnostics record the solver, the system size, the shift `sigma` and
-    the bracket (`sigma_lo`, `sigma_hi`] of the lowest level.
+    Standard-mode Lanczos on (H - sigma)^{-1} = Bhat (K - sigma M)^{-1} Bhat
+    from a certified shift below the whole spectrum, or a dense solve of
+    the (K, M) pencil when ARPACK's default Krylov basis would span the
+    whole space.  Eigenvectors are the orthonormal psi.  The diagnostics
+    record the solver, the system size, the shift `sigma`, the bracket
+    (`sigma_lo`, `sigma_hi`] of the lowest level, the bisection steps and,
+    for Lanczos, the operator applications (one Cholesky solve each).
     """
     system = assemble(case, grid)
     n = system.size
@@ -266,38 +274,40 @@ def solve(case: DimensionlessCase, grid: Grid, count: int, eigenvectors: bool = 
 
     k_bands, m_bands = system.pencil_bands()
     sigma, upper, factor, steps = _certified_shift(k_bands, m_bands, system.potential_values)
-    k, m = _symmetric_sparse(k_bands), _symmetric_sparse(m_bands)
+    dense = max(2 * count + 1, 20) >= n
     diagnostics = {
-        "solver": "dense" if count == n else "lanczos",
+        "solver": "dense" if dense else "lanczos",
         "size": n,
         "sigma": sigma,
         "sigma_lo": sigma,
         "sigma_hi": upper,
         "shift_steps": steps,
     }
-    if count == n:
-        w, chi = eigh(k.toarray(), m.toarray())
+    if dense:
+        # the full solve beats eigh's subset driver whenever count >= size/2
+        w, chi = eigh(_dense_symmetric(k_bands), _dense_symmetric(m_bands))
+        w, psi = w[:count], system.apply_b(chi[:, :count])
     else:
         solves = 0
 
         def shift_invert(x):
             nonlocal solves
             solves += 1
-            return cho_solve_banded((factor, False), x)
+            return system.apply_b(cho_solve_banded((factor, False), system.apply_b(x)))
 
         # a fixed start vector makes repeated solves bitwise reproducible
         v0 = np.random.default_rng(0).standard_normal(n)
         try:
-            op_inv = LinearOperator((n, n), matvec=shift_invert, dtype=float)
-            w, chi = eigsh(k, k=count, M=m, sigma=sigma, which="LM", v0=v0, OPinv=op_inv)
+            op = LinearOperator((n, n), matvec=shift_invert, dtype=float)
+            theta, psi = eigsh(op, k=count, which="LA", v0=v0)
         except ArpackNoConvergence as exc:
             raise NonConvergenceError(f"shift-invert Lanczos did not converge for {case}") from exc
-        order = np.argsort(w)
-        w, chi = w[order], chi[:, order]
+        order = np.argsort(theta)[::-1]
+        w, psi = sigma + 1.0 / theta[order], psi[:, order]
         diagnostics["shift_invert_solves"] = solves
     return Spectrum(
         eigenvalues=w,
-        eigenvectors=system.apply_b(chi) if eigenvectors else None,
+        eigenvectors=psi if eigenvectors else None,
         case=case,
         grid=grid,
         diagnostics=diagnostics,

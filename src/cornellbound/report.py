@@ -158,8 +158,10 @@ def compare_sweep(config: RunConfig) -> list[ComparisonRow]:
     The Numerov spectrum for each (B, l) is computed once and indexed by s
     (the s-th level is the s-th ascending eigenvalue).  Per-case failures
     are recorded in the row instead of aborting the sweep; output order is
-    sorted by (B, l, s, j).
+    sorted by (B, l, s, j).  An empty `s_values` is a DomainError.
     """
+    if not config.s_values:
+        raise DomainError("s_values must not be empty")
     grid = config.grid()
     rows = []
     for B in sorted(config.B_values):

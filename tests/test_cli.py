@@ -95,6 +95,21 @@ class TestNumerovCommand:
         assert "B=0 l=0  N=8:" in captured.out
         assert "B=2 l=0  FAILED: forced failure" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--grid", "100", "--levels", "0"], "--levels must be between 1 and 99"),
+            (["--grid", "100", "--levels", "100"], "--levels must be between 1 and 99"),
+            (["--grids", "8,16"], "--grids needs at least 3 grids"),
+            (["--grids", ""], "--grids needs at least 3 grids"),
+        ],
+    )
+    def test_bad_levels_or_grids_is_configuration_error(self, capsys, argv, message):
+        assert run(["numerov", "-B", "0", "-l", "0", *argv]) == 1
+        captured = capsys.readouterr()
+        assert f"configuration error: {message}" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("grids", [[], ["--grids", "8,16,32"]])
     def test_invalid_value_is_configuration_error(self, capsys, grids):
         assert run(["numerov", "-B", "-1", *grids]) == 1

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import LinAlgError, cholesky_banded, eigh
-from scipy.sparse.linalg import ArpackNoConvergence
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator
 
 from cornellbound import numerov
 from cornellbound.errors import DomainError, NonConvergenceError
@@ -21,6 +21,11 @@ from cornellbound.numerov import (
 
 # mesh-refinement reference domain
 REF = dict(z_min=1e-5, z_max=20.0)
+
+
+def expected_solver(count: int, size: int) -> str:
+    """Dense exactly when ARPACK's default Krylov basis would span the space."""
+    return "dense" if min(size, max(2 * count + 1, 20)) == size else "lanczos"
 
 
 class TestGrid:
@@ -138,6 +143,55 @@ class TestSpectrum:
         gram = spec.eigenvectors.T @ spec.eigenvectors
         assert np.allclose(gram, np.eye(5), atol=1e-10)
 
+    @pytest.mark.parametrize(
+        "B,l,n,count",
+        [
+            (5.0, 0, 64, 4),
+            (5.0, 0, 64, 30),
+            (5.0, 0, 64, 31),
+            (2.0, 2, 300, 4),
+            (2.0, 2, 300, 148),
+            (2.0, 2, 300, 149),
+            (10.0, 1, 600, 16),
+            (10.0, 1, 600, 298),
+            (10.0, 1, 600, 299),
+        ],
+    )
+    def test_eigenvectors_solve_pencil_and_are_orthonormal(self, B, l, n, count):
+        # counts on both sides of the dense/Lanczos boundary, size <= 2 count + 1
+        case = DimensionlessCase(B=B, l=l)
+        g = Grid(**REF, n=n)
+        spec = solve(case, g, count, eigenvectors=True)
+        assert spec.diagnostics["solver"] == expected_solver(count, n - 1)
+        w, psi = spec.eigenvalues, spec.eigenvectors
+        sys = assemble(case, g)
+        # pencil_residual of every column at once
+        residual = np.max(np.abs(sys.left_matrix() @ psi - (sys.b_matrix() @ psi) * w), axis=0)
+        assert np.all(residual <= 1e-8 * np.maximum(1.0, np.abs(w)))
+        assert np.allclose(psi.T @ psi, np.eye(count), rtol=0, atol=1e-10)
+
+    def test_shift_invert_solves_count_operator_applications(self, monkeypatch):
+        # one Cholesky solve per application of Bhat (K - sigma M)^{-1} Bhat
+        calls = {"cholesky": 0, "operator": 0}
+        cho_solve_banded, eigsh = numerov.cho_solve_banded, numerov.eigsh
+
+        def counting_solve(*args, **kwargs):
+            calls["cholesky"] += 1
+            return cho_solve_banded(*args, **kwargs)
+
+        def counting_eigsh(op, *args, **kwargs):
+            def matvec(x):
+                calls["operator"] += 1
+                return op.matvec(x)
+
+            return eigsh(LinearOperator(op.shape, matvec=matvec, dtype=op.dtype), *args, **kwargs)
+
+        monkeypatch.setattr(numerov, "cho_solve_banded", counting_solve)
+        monkeypatch.setattr(numerov, "eigsh", counting_eigsh)
+        spec = solve(DimensionlessCase(B=2.0, l=0), Grid(**REF, n=512), 16)
+        assert spec.diagnostics["solver"] == "lanczos"
+        assert spec.diagnostics["shift_invert_solves"] == calls["cholesky"] == calls["operator"] > 0
+
     def test_centrifugal_monotonicity(self):
         g = Grid(**REF, n=400)
         levels = [float(solve(DimensionlessCase(B=0.0, l=l), g, 1).eigenvalues[0]) for l in (0, 1, 2, 3)]
@@ -165,7 +219,7 @@ class TestSpectrum:
         spec = solve(case, g, count)
         d = spec.diagnostics
         assert d["size"] == n - 1
-        assert d["solver"] == ("dense" if count == n - 1 else "lanczos")
+        assert d["solver"] == expected_solver(count, n - 1)
         assert d["sigma"] == d["sigma_lo"]
         k, m = assemble(case, g).pencil_bands()
         cholesky_banded(k - d["sigma"] * m)  # raises unless K - sigma M is positive definite
@@ -208,6 +262,7 @@ class TestSpectrum:
 @example(B=3.0, l=2, n=16, frac=1.0)
 @example(B=10.0, l=0, n=512, frac=15 / 510)  # Coulomb-collapsed row of the mesh table
 @example(B=10.0, l=0, n=8, frac=1.0)
+@example(B=3.0, l=2, n=600, frac=597 / 598)  # count 598 of 599: dense, ARPACK would need ncv = size
 def test_solve_matches_dense_symmetric_operator(B, l, n, frac):
     """The lowest `count` levels equal those of a dense eigh of -Bhat^-1 Ahat + V."""
     size = n - 1
@@ -218,7 +273,7 @@ def test_solve_matches_dense_symmetric_operator(B, l, n, frac):
     ref = eigh(assemble(case, g).symmetric_operator(), eigvals_only=True)[:count]
     assert spec.eigenvalues.shape == (count,)
     assert np.all(np.abs(spec.eigenvalues - ref) <= 1e-10 * np.maximum(1.0, np.abs(ref)))
-    assert spec.diagnostics["solver"] == ("dense" if count == size else "lanczos")
+    assert spec.diagnostics["solver"] == expected_solver(count, size)
     assert np.array_equal(spec.eigenvalues, solve(case, g, count).eigenvalues)
 
 

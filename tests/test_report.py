@@ -141,6 +141,10 @@ class TestCompare:
             assert r.error is None
             assert r.delta_A < 5e-3
 
+    def test_sweep_rejects_empty_s_values(self):
+        with pytest.raises(DomainError, match="s_values must not be empty"):
+            compare_sweep(RunConfig(B_values=[0.0], l_values=[0], s_values=[], n=100))
+
     def test_sweep_deterministic(self):
         cfg = RunConfig(B_values=[0.0], l_values=[0], s_values=[0], n=600, z_max=20.0, z_min=1e-4)
         r1 = compare_sweep(cfg)[0]
