@@ -31,7 +31,8 @@ CSV, the full diagnostics as JSON at OUT.json).
 Exit codes: 0 full success; 1 configuration error (an unreadable config,
 an unknown key, a value of the wrong type or range, numerov --levels
 outside 1..N-1 or fewer than 3 --grids, all checked before any case
-runs, or a rates --csv table without the comparison columns); 2 partial
+runs, a rates --csv table without the comparison columns, or a non-finite
+rates --values or --ref entry); 2 partial
 per-case failures (each reported as a FAILED line on stderr; the other
 cases still run).
 """
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import numerov, phase_integral, report
@@ -259,6 +261,9 @@ def cmd_compare(args) -> int:
 
 def cmd_rates(args) -> int:
     config = resolve_config(args, B_values=[], l_values=[], **SWEEP_DOMAIN)
+    explicit = (args.values or []) + ([] if args.ref is None else [args.ref])
+    if not all(map(math.isfinite, explicit)):
+        raise DomainError("--values and --ref must be finite")
     _header()
     failures = 0
     sequences = []

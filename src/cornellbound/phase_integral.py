@@ -173,12 +173,14 @@ def solve_u0_kappas(m: float, alpha2: float) -> tuple[float, float, float]:
 
 
 def solve_u0(m: float, alpha2: float) -> ComplexPoint:
-    """A base point u0 in the complex plane with C(u0, m, alpha^2) = 0.
+    """A base point u0 in [0, K] x [0, K'] with C(u0, m, alpha^2) = 0.
 
-    The quadratic in sn^2(u0) has two roots; each root has two square
-    roots.  The four branches are tried in a fixed order and the first one
-    passing verification (|C| <= 1e-8, sn/cn/dn all nonzero) wins, which
-    makes the returned point deterministic.
+    With x = sn^2(u0), C = [F + G x(1 - x)] / (sn cn dn), and the numerator
+    is kappa2 x^2 + kappa1 x + kappa0.  Since C(-u) = -C(u) and
+    C(conj u) = conj C(u), only w = sn(u0) in the closed first quadrant is
+    tried: the one root with Im x > 0 when the roots are complex, both in
+    the order below when they are real.  The first candidate passing
+    verification (|C| <= C_TOL, sn/cn/dn all nonzero) wins.
     """
     if abs(m - 1.0) < DEGENERACY_TOL:
         # kappa2 = alpha^2 - 1, kappa1 = 0, kappa0 = 1 - alpha^2:
@@ -188,22 +190,24 @@ def solve_u0(m: float, alpha2: float) -> ComplexPoint:
     if abs(k2) < DEGENERACY_TOL:
         raise DomainError("kappa2 vanishes; quadratic branch selection undefined")
     disc = cmath.sqrt(complex(k1 * k1 - 4.0 * k0 * k2))
+    roots = [(-k1 + disc) / (2.0 * k2), (-k1 - disc) / (2.0 * k2)]
+    if disc.imag:  # a conjugate pair
+        roots = roots[:1]
     failures = []
-    for x in ((-k1 + disc) / (2.0 * k2), (-k1 - disc) / (2.0 * k2)):
-        root = cmath.sqrt(x)
-        for w in (root, -root):
-            try:
-                u0 = special.inverse_sn(w, m)
-                sn, cn, dn = jacobi_complex(u0, m)
-                if min(abs(sn), abs(cn), abs(dn)) < special.SINGULAR_TOL:
-                    failures.append((w, "vanishing Jacobi function"))
-                    continue
-                c_abs = abs(C_term(u0, m, alpha2))
-                if c_abs <= C_TOL:
-                    return u0
-                failures.append((w, f"|C| = {c_abs:.3e}"))
-            except CornellboundError as exc:  # branch invalid; try the next one
-                failures.append((w, repr(exc)))
+    for x in roots:
+        w = cmath.sqrt(complex(x.real, abs(x.imag)))
+        try:
+            u0 = special.inverse_sn(w, m)
+            sn, cn, dn = jacobi_complex(u0, m)
+            if min(abs(sn), abs(cn), abs(dn)) < special.SINGULAR_TOL:
+                failures.append((w, "vanishing Jacobi function"))
+                continue
+            c_abs = abs(C_term(u0, m, alpha2))
+            if c_abs <= C_TOL:
+                return u0
+            failures.append((w, f"|C| = {c_abs:.3e}"))
+        except CornellboundError as exc:  # candidate invalid; try the next one
+            failures.append((w, repr(exc)))
     raise NoValidRootError(f"no C = 0 base point for m={m}, alpha2={alpha2}: {failures}")
 
 

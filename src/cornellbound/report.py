@@ -106,9 +106,16 @@ class RunConfig:
         return Grid(self.z_min, self.z_max, self.n)
 
 
+def _finite(values) -> list[float]:
+    values = [float(v) for v in values]
+    if not all(map(math.isfinite, values)):
+        raise DomainError(f"convergence rates need finite values, got {values}")
+    return values
+
+
 def rate_N(values) -> list[float]:
     """Empirical mesh-refinement rates from an eigenvalue sequence."""
-    values = [float(v) for v in values]
+    values = _finite(values)
     if len(values) < 3:
         raise DomainError("need at least 3 values for N_k")
     out = []
@@ -123,7 +130,7 @@ def rate_N(values) -> list[float]:
 
 def rate_M(values, A_ref: float) -> list[float]:
     """Convergence rates of a sequence toward an external reference value."""
-    values = [float(v) for v in values]
+    *values, A_ref = _finite([*values, A_ref])
     if len(values) < 2:
         raise DomainError("need at least 2 values for M_k")
     out = []

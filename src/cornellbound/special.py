@@ -4,10 +4,12 @@ Numerical bedrock for the phase-integral engine: K, E, Pi via Carlson
 symmetric forms (scipy), the Jacobi triple sn/cn/dn for real and complex
 argument, and the principal inverse of sn.
 
-Complex arguments are handled with the addition theorems applied to
-u = x + iy, expressing the functions of the purely imaginary part through
-real-argument functions at the complementary parameter 1 - m (Jacobi's
-imaginary transformation).  All functions here are pure.
+A complex argument u = x + iy is reduced to the real-argument triples at
+x (parameter m) and at y (the complementary parameter 1 - m) by
+Abramowitz & Stegun 16.21.  The inverse of sn is Carlson's form of F on
+the first quadrant of w, closed-form edge inverses on the real half-line
+w > 1, and the reflections of sn elsewhere, with one Newton polish.  All
+functions here are pure.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
 from scipy.special import ellipe, ellipj, ellipk, elliprf, elliprj
 
 from .errors import DomainError, NonConvergenceError, SingularPointError
@@ -103,51 +104,46 @@ def jacobi_sn_cn_dn(u: float, m) -> tuple[float, float, float]:
     return float(sn), float(cn), float(dn)
 
 
-def _jacobi_imag(y: float, m: float) -> tuple[complex, complex, complex]:
-    """sn, cn, dn at the purely imaginary argument i*y, parameter m.
-
-    Jacobi's imaginary transformation through the complementary parameter:
-    sn(iy,m) = i sn(y,1-m)/cn(y,1-m), cn(iy,m) = 1/cn(y,1-m),
-    dn(iy,m) = dn(y,1-m)/cn(y,1-m).
-    """
-    s, c, d, _ = ellipj(y, 1.0 - m)
-    if abs(c) < SINGULAR_TOL:
-        raise SingularPointError(f"u = {1j * y} is at a pole of the Jacobi functions")
-    return 1j * s / c, 1.0 / c, d / c
-
-
 def jacobi_complex(u, m) -> tuple[complex, complex, complex]:
     """Jacobi sn, cn, dn for complex argument u = x + iy.
 
-    Built from the real-argument triple at x and the imaginary
-    transformation at iy, combined with the addition theorems.  Raises
-    SingularPointError near the poles u = iK' (mod lattice), where the
-    common denominator 1 - m sn^2(x) sn^2(iy) degenerates.
+    Abramowitz & Stegun 16.21.1-3: with s, c, d = sn, cn, dn(x | m) and
+    s1, c1, d1 = sn, cn, dn(y | 1 - m),
+
+        sn u = (s d1 + i c d s1 c1) / delta,
+        cn u = (c c1 - i s d s1 d1) / delta,
+        dn u = (d c1 d1 - i m s c s1) / delta,   delta = c1^2 + m s^2 s1^2.
+
+    delta is a sum of squares that vanishes only at the poles
+    2aK + i(2b + 1)K', quadratically in the distance to them, so
+    SingularPointError is raised where delta < SINGULAR_TOL^2.
     """
     m = _m_value(m)
     u = _u_value(u)
-    x, y = u.real, u.imag
-    if y == 0.0:
-        sn, cn, dn = jacobi_sn_cn_dn(x, m)
-        return complex(sn), complex(cn), complex(dn)
-    sx, cx, dx, _ = ellipj(x, m)
-    sy, cy, dy = _jacobi_imag(y, m)
-    den = 1.0 - m * (sx * sy) ** 2
-    if abs(den) < SINGULAR_TOL:
+    s, c, d, _ = ellipj(u.real, m)
+    s1, c1, d1, _ = ellipj(u.imag, 1.0 - m)
+    den = float(c1 * c1 + m * (s * s1) ** 2)
+    if den < SINGULAR_TOL**2:
         raise SingularPointError(f"u = {u} is too close to a pole of the Jacobi functions")
-    sn = (sx * cy * dy + sy * cx * dx) / den
-    cn = (cx * cy - sx * sy * dx * dy) / den
-    dn = (dx * dy - m * sx * sy * cx * cy) / den
+    sn = complex(s * d1, c * d * s1 * c1) / den
+    cn = complex(c * c1, -s * d * s1 * d1) / den
+    dn = complex(d * c1 * d1, -m * s * c * s1) / den
     return sn, cn, dn
+
+
+def _carlson_F(w, m):
+    """F(arcsin w | m) = w R_F(1 - w^2, 1 - m w^2, 1) (DLMF 19.25.5)."""
+    return w * elliprf(1.0 - w * w, 1.0 - m * w * w, 1.0)
 
 
 def inverse_sn(w, m) -> ComplexPoint:
     """Principal inverse of sn: a u with sn(u, m) = w.
 
-    The branch is pinned deterministically: among the lattice-equivalent
-    solutions, prefer one inside the rectangle [0, K] x [0, K'] (which
-    exists whenever w lies in the closed first quadrant), breaking ties
-    toward the smallest |u|.
+    sn maps [0, K] x [0, K'] onto the closed first quadrant, where the
+    preimage is Carlson's form of F; on its cut, real w > 1, the edges
+    sn(K + iy | m) = 1/dn(y | 1 - m) and sn(x + iK' | m) = 1/(sqrt m sn x)
+    are inverted instead.  Any other w is reflected there by sn(-u) = -sn u
+    and sn(conj u) = conj sn u.  Newton's method polishes the result.
     """
     m = _m_value(m)
     w = complex(w)
@@ -157,35 +153,23 @@ def inverse_sn(w, m) -> ComplexPoint:
         # sn(u, 1) = tanh u
         u = cmath.atanh(w)
         return ComplexPoint(u.real, u.imag)
-
-    u = _inverse_sn_raw(w, m)
-    K = float(ellipk(m))
-    Kp = float(ellipk(1.0 - m))
-
-    # Fold the solution set {u + 4K a + 2iK' b, (2K - u) + 4K a + 2iK' b}
-    # and pick the principal representative.
-    def folded(v: complex) -> complex:
-        re = v.real % (4.0 * K)
-        im = v.imag % (2.0 * Kp)
-        return complex(re, im)
-
-    candidates = []
-    for base in (u, 2.0 * K - u):
-        f = folded(base)
-        for dre in (0.0, -4.0 * K):
-            for dim in (0.0, -2.0 * Kp):
-                candidates.append(f + complex(dre, dim))
-
-    tol = 1e-9
-
-    def keyfun(v: complex):
-        viol = max(0.0, -v.real) + max(0.0, v.real - K) + max(0.0, -v.imag) + max(0.0, v.imag - Kp)
-        return (round(viol / tol), abs(v), v.real, v.imag)
-
-    best = min(candidates, key=keyfun)
-    # polish once more at the selected representative
-    best = _newton_sn(best, w, m, max_iter=8)
-    return ComplexPoint(best.real, best.imag)
+    v = complex(abs(w.real), abs(w.imag))
+    if v.imag == 0.0 and v.real > 1.0:
+        if m * v.real**2 <= 1.0:
+            y = _carlson_F(min(1.0, math.sqrt((1.0 - v.real**-2) / (1.0 - m))), 1.0 - m)
+            u = complex(ellip_K(m), y)
+        else:
+            x = _carlson_F(min(1.0, 1.0 / (math.sqrt(m) * v.real)), m)
+            u = complex(x, ellip_K(1.0 - m))
+    else:
+        u = complex(_carlson_F(v, m))
+    u = _newton_sn(u, v, m)
+    # w is v, conj v, -conj v or -v
+    if (w.real < 0.0) != (w.imag < 0.0):
+        u = u.conjugate()
+    if w.real < 0.0:
+        u = -u
+    return ComplexPoint(u.real, u.imag)
 
 
 def _newton_sn(u: complex, w: complex, m: float, max_iter: int = 60) -> complex:
@@ -207,30 +191,3 @@ def _newton_sn(u: complex, w: complex, m: float, max_iter: int = 60) -> complex:
     if abs(sn - w) > 1e-10 * max(1.0, abs(w)):
         raise NonConvergenceError(f"inverse_sn Newton iteration failed for w={w}, m={m}")
     return u
-
-
-def _inverse_sn_raw(w: complex, m: float) -> complex:
-    """Some solution of sn(u) = w, not yet branch-normalized."""
-    # Carlson-form incomplete integral of the first kind as the start:
-    # u = w RF(1 - w^2, 1 - m w^2, 1).
-    start = w * elliprf(1.0 - w * w, 1.0 - m * w * w, 1.0)
-    try:
-        return _newton_sn(complex(start), w, m)
-    except NonConvergenceError:
-        pass
-    # Fallback: coarse search over the fundamental rectangle, then Newton.
-    K = float(ellipk(m))
-    Kp = float(ellipk(1.0 - m))
-    best, best_err = None, math.inf
-    for re in np.linspace(0.02 * K, 3.98 * K, 48):
-        for im in np.linspace(0.02 * Kp, 1.98 * Kp, 24):
-            try:
-                sn, _, _ = jacobi_complex(complex(re, im), m)
-            except SingularPointError:
-                continue
-            err = abs(sn - w)
-            if err < best_err:
-                best, best_err = complex(re, im), err
-    if best is None:
-        raise NonConvergenceError(f"inverse_sn grid search failed for w={w}, m={m}")
-    return _newton_sn(best, w, m)

@@ -303,6 +303,13 @@ class TestRatesCommand:
         assert run(["rates"]) == 1
         assert "need --values" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["--values", "1,2,nan"], ["--values", "1.3,1.075,1.01875", "--ref", "inf"]])
+    def test_non_finite_input_exit_1(self, capsys, argv):
+        assert run(["rates", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "configuration error: --values and --ref must be finite" in captured.err
+
     def test_empty_B_and_l_lists_are_accepted(self, capsys, tmp_path):
         cfg = write_config(tmp_path, {"B_values": [], "l_values": []})
         assert run(["rates", "--config", cfg, "--values", "1.3,1.075,1.01875"]) == 0

@@ -211,6 +211,8 @@ class TestBasePoint:
             scale = max(abs(k2), abs(k1), abs(k0))
             assert abs(k2 * x * x + k1 * x + k0) < 1e-7 * scale
             assert abs(C_term(u0, tp.m, tp.alpha2)) <= pi_mod.C_TOL
+            assert -1e-12 <= u0.re <= ellip_K(tp.m) + 1e-12
+            assert -1e-12 <= u0.im <= ellip_K(1 - tp.m) + 1e-12
 
     def test_C_explicit_three_term_form(self):
         # the raw three-ratio form of C equals the F/G assembled form

@@ -46,6 +46,11 @@ class TestRateN:
         with pytest.raises(DomainError):
             rate_N([1.0, 2.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            rate_N([1.0, 2.0, bad])
+
     def test_degenerate_differences(self):
         with pytest.raises(DegenerateDifferenceError):
             rate_N([1.0, 1.0, 2.0])
@@ -72,6 +77,11 @@ class TestRateM:
     def test_degenerate(self):
         with pytest.raises(DegenerateDifferenceError):
             rate_M([1.0, 2.0], 2.0)
+
+    @pytest.mark.parametrize("values, ref", [([1.0, math.nan], 0.0), ([1.0, 2.0], math.inf)])
+    def test_non_finite_entry(self, values, ref):
+        with pytest.raises(DomainError, match="finite"):
+            rate_M(values, ref)
 
 
 class TestRunConfig:

@@ -134,9 +134,11 @@ class TestJacobiComplex:
 
     def test_against_mpmath(self):
         rng = np.random.default_rng(11)
-        for _ in range(40):
-            m = rng.uniform(0.05, 0.95)
-            u = complex(rng.uniform(-2, 2), rng.uniform(-0.8, 0.8))
+        points = [(rng.uniform(0.05, 0.95), complex(rng.uniform(-2, 2), rng.uniform(-0.8, 0.8))) for _ in range(40)]
+        # the line Im u = K' holds poles only at Re u = 0 (mod 2K)
+        for m, x in ((0.5, 0.5), (0.2, -1.3), (0.8, 2.9), (0.4, ellip_K(0.4))):
+            points.append((m, complex(x, ellip_K(1 - m))))
+        for m, u in points:
             mine = jacobi_complex(u, m)
             ref = oracles.jacobi_mp(u, m)
             for x, y in zip(mine, ref):
@@ -257,24 +259,38 @@ class TestInverseSn:
         u = inverse_sn(1j, 1.0).as_complex()
         assert u == pytest.approx(1j * math.pi / 4, abs=1e-12)
 
+    @staticmethod
+    def _half_axis_points(rng, signs):
+        """(m, w) with w on each half-axis in `signs`, |w| from 0.05 to 100 and 1/sqrt(m)."""
+        out = []
+        for sign in signs:
+            for r in (0.05, 0.7, 1.0, 1.2, 3.0, 17.0, 100.0):
+                out.append((rng.uniform(0.05, 0.95), sign * r))
+            m = rng.uniform(0.05, 0.95)
+            out.append((m, sign / math.sqrt(m)))
+        return out
+
     def test_right_inverse_property(self):
         rng = np.random.default_rng(19)
-        for _ in range(60):
-            m = rng.uniform(0.05, 0.95)
-            w = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
+        points = [(rng.uniform(0.05, 0.95), complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))) for _ in range(60)]
+        points += [(rng.uniform(0.05, 0.95), complex(*rng.uniform(-100, 100, 2))) for _ in range(30)]
+        points += self._half_axis_points(rng, (1, -1, 1j, -1j))
+        points += [(0.5, 1.2), (0.3, -3.0)]
+        for m, w in points:
             u = inverse_sn(w, m)
             sn, _, _ = jacobi_complex(u, m)
-            assert abs(sn - w) < 1e-9 * max(1.0, abs(w))
+            assert abs(sn - w) < 1e-12 * max(1.0, abs(w))
 
     def test_principal_rectangle(self):
         # first-quadrant w has its principal preimage in [0,K] x [0,K']
         rng = np.random.default_rng(29)
-        for _ in range(30):
-            m = rng.uniform(0.1, 0.9)
-            w = complex(rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95))
+        points = [(rng.uniform(0.1, 0.9), complex(rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95))) for _ in range(30)]
+        points += [(rng.uniform(0.1, 0.9), complex(*rng.uniform(0, 100, 2))) for _ in range(20)]
+        points += self._half_axis_points(rng, (1, 1j))
+        for m, w in points:
             u = inverse_sn(w, m).as_complex()
-            assert -1e-8 <= u.real <= ellip_K(m) + 1e-8
-            assert -1e-8 <= u.imag <= ellip_K(1 - m) + 1e-8
+            assert -1e-12 <= u.real <= ellip_K(m) + 1e-12
+            assert -1e-12 <= u.imag <= ellip_K(1 - m) + 1e-12
 
 
 class TestZIntegrals:
