@@ -16,6 +16,10 @@ once the complex base point u0 of the underlying contour is chosen so the
 boundary term C(u0, m, alpha^2) vanishes; u0 comes from a quadratic in
 sn^2(u0).  The level follows from solving L1 (+ L3) = (s + 1/2) pi for x2
 and A = x2 - B/x2 + (l+1/2)^2/x2^2.
+
+The Langer potential A(x2) has its minimum at z*, the positive root of
+z^3 + B z - 2 (l+1/2)^2, where x1 = x2.  Below z* the zero x2 of -Q^2 is
+the inner one (x1 > x2), so no level lies there and the x2 scan starts at z*.
 """
 
 from __future__ import annotations
@@ -93,6 +97,18 @@ def turning_points_from_x2(x2: float, case: DimensionlessCase) -> TurningPoints:
     k2 = (x2 - x1) / d2
     alpha2 = (x2 - x1) / x2
     return TurningPoints(x0=x0, x1=x1, x2=x2, S=S, T=T, d2=d2, k2=k2, alpha2=alpha2)
+
+
+def x2_floor(case: DimensionlessCase) -> float:
+    """The floor z* of the valid x2 range: the positive root of z^3 + B z - 2 nu^2.
+
+    z* is the minimum of the Langer potential z - B/z + nu^2/z^2, where
+    x1 = x2.  Cardano's root t - B/(3t) cancels at large B, so it is taken
+    as 2 nu^2 / (t^2 + B/3 + B^2/(9 t^2)), whose terms are all positive.
+    """
+    nu2 = case.nu**2
+    t = (nu2 + math.sqrt(nu2 * nu2 + case.B**3 / 27.0)) ** (1.0 / 3.0)
+    return 2.0 * nu2 / (t * t + case.B / 3.0 + case.B**2 / (9.0 * t * t))
 
 
 def _f1(m: float, a2: float) -> float:
@@ -240,7 +256,9 @@ def quantize(case: DimensionlessCase) -> QuantizationResult:
 
     Finds the x2 with L1 (+ L3 for j = 1) = (s + 1/2) pi by a geometric
     bracket scan plus Brent refinement, then reconstructs A and verifies
-    the boundary-term base point.
+    the boundary-term base point.  The scan evaluates only grid points
+    above the floor x2_floor(case), where L1 rises from 0; at every point
+    below it x1 > x2.
     """
     target = (case.s + 0.5) * math.pi
 
@@ -254,35 +272,17 @@ def quantize(case: DimensionlessCase) -> QuantizationResult:
         except (OrderingError, DomainError):
             return None
 
+    floor = x2_floor(case)
     cap = max(10.0, 3.0 * (case.s + 1.0) + case.B)
     bracket = None
     while bracket is None:
-        npts = max(200, int(120 * math.log10(cap / 1e-6)))
+        grid = np.geomspace(1e-6, cap, max(200, int(120 * math.log10(cap / 1e-6))))
         prev = None
-        last_invalid = None
-        for x in np.geomspace(1e-6, cap, npts):
+        for x in grid[grid > floor]:  # below the floor x1 > x2: no level
             v = f(x)
             if v is None:
                 prev = None
-                last_invalid = x
                 continue
-            if prev is None and v > 0.0 and last_invalid is not None:
-                # the scan stepped over the negative sliver at the floor of
-                # the valid region; bisect toward the floor (f -> -target
-                # or -inf there) until a negative sample appears
-                lo, hi = last_invalid, x
-                for _ in range(200):
-                    mid = math.sqrt(lo * hi)
-                    vm = f(mid)
-                    if vm is None:
-                        lo = mid
-                    elif vm > 0.0:
-                        hi, v, x = mid, vm, mid
-                    else:
-                        prev = (mid, vm)
-                        break
-                if prev is None:
-                    break  # sliver unresolvable; widen the cap and retry
             if prev is not None and prev[1] * v < 0.0:
                 bracket = (prev[0], x)
                 break

@@ -1,8 +1,8 @@
 """Complete elliptic integrals and Jacobi elliptic functions.
 
 Numerical bedrock for the phase-integral engine: K, E, Pi via Carlson
-symmetric forms (scipy), the Jacobi triple sn/cn/dn for real and complex
-argument, and the principal inverse of sn.
+symmetric forms (scipy), the Jacobi triple sn/cn/dn for complex argument,
+and the principal inverse of sn.
 
 A complex argument u = x + iy is reduced to the real-argument triples at
 x (parameter m) and at y (the complementary parameter 1 - m) by
@@ -93,15 +93,6 @@ def ellip_Pi(n, m) -> float:
     if n == 0.0:
         return ellip_K(m)
     return float(elliprf(0.0, 1.0 - m, 1.0) + (n / 3.0) * elliprj(0.0, 1.0 - m, 1.0, 1.0 - n))
-
-
-def jacobi_sn_cn_dn(u: float, m) -> tuple[float, float, float]:
-    """Jacobi sn, cn, dn for real argument u."""
-    m = _m_value(m)
-    if not math.isfinite(u):
-        raise DomainError("argument u must be finite")
-    sn, cn, dn, _ = ellipj(u, m)
-    return float(sn), float(cn), float(dn)
 
 
 def jacobi_complex(u, m) -> tuple[complex, complex, complex]:

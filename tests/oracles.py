@@ -3,14 +3,15 @@
 Everything here deliberately avoids the code paths it checks: the elliptic
 integrals come from adaptive quadrature of their defining single integrals,
 the complex Jacobi values from mpmath's theta-function based ellipfun, the
-Airy zero from a Maclaurin series plus bisection, and the contour integral
-for the third-order correction from Gauss-Legendre panels on an explicit
-straight path.
+real Jacobi triple straight from scipy's ellipj (the library itself needs
+only complex argument), the Airy zero from a Maclaurin series plus
+bisection, and the contour integral for the third-order correction from
+Gauss-Legendre panels on an explicit straight path.
 
 The reference routines at the end (L1 by quadrature, the Jacobi epsilon
 function, the Z antiderivatives and the partial fractions of the L3
-integrand) build on the library's Jacobi functions, but not on the closed
-forms of L1 and L3 that they check.
+integrand) build on that real triple and the library's complex Jacobi
+functions, but not on the closed forms of L1 and L3 that they check.
 """
 
 from __future__ import annotations
@@ -23,7 +24,16 @@ from scipy.integrate import quad
 from scipy.special import ellipe, ellipeinc, ellipj, ellipk
 
 from cornellbound.errors import DomainError, SingularPointError
-from cornellbound.special import SINGULAR_TOL, ellip_K, jacobi_complex, jacobi_sn_cn_dn
+from cornellbound.special import SINGULAR_TOL, _m_value, ellip_K, jacobi_complex
+
+
+def jacobi_sn_cn_dn(u: float, m) -> tuple[float, float, float]:
+    """Jacobi sn, cn, dn for real argument u, straight from scipy's ellipj."""
+    m = _m_value(m)
+    if not math.isfinite(u):
+        raise DomainError("argument u must be finite")
+    sn, cn, dn, _ = ellipj(u, m)
+    return float(sn), float(cn), float(dn)
 
 
 def ellip_K_quad(m: float) -> float:

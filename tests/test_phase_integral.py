@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from cornellbound import phase_integral as pi_mod
-from cornellbound.errors import DomainError, NonConvergenceError, NoValidRootError, OrderingError
+from cornellbound.errors import BracketError, DomainError, NonConvergenceError, NoValidRootError, OrderingError
 from cornellbound.model import DimensionlessCase, Q2_of_z, R_of_z
 from cornellbound.phase_integral import (
     A_from_x2,
@@ -23,9 +23,10 @@ from cornellbound.phase_integral import (
     solve_u0,
     solve_u0_kappas,
     turning_points_from_x2,
+    x2_floor,
 )
-from cornellbound.special import ellip_E, ellip_K, jacobi_complex, jacobi_sn_cn_dn
-from oracles import L1_quadrature, L3_partial_fractions, z_integrals
+from cornellbound.special import ellip_E, ellip_K, jacobi_complex
+from oracles import L1_quadrature, L3_partial_fractions, jacobi_sn_cn_dn, z_integrals
 
 
 def _random_cases(rng, count):
@@ -97,6 +98,29 @@ class TestTurningPoints:
                 lhs = (z - tp.x0) * (z - tp.x1) * (z - tp.x2)
                 rhs = -tp.m**2 * tp.d2**3 * (sn * cn * dn) ** 2
                 assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
+
+
+class TestX2Floor:
+    @pytest.mark.parametrize("B", [0.0, 1e-3, 2.0, 20.0, 150.0, 400.0, 1e4, 1e6, 1e9])
+    def test_root_of_the_cubic(self, B):
+        for l in range(4):
+            case = DimensionlessCase(B=B, l=l)
+            z = x2_floor(case)
+            nu2 = case.nu**2
+            assert z > 0.0
+            assert abs(z**3 + B * z - 2.0 * nu2) <= 1e-14 * max(z**3, B * z, 2.0 * nu2)
+
+    @pytest.mark.parametrize("B", [0.0, 1e-3, 2.0, 20.0, 150.0, 400.0])
+    def test_separates_the_ordering(self, B):
+        # above B = 400 the test 0 < x1 = S + T < x2 cancels near the floor
+        # and no longer decides either side of it
+        for l in range(4):
+            case = DimensionlessCase(B=B, l=l)
+            z = x2_floor(case)
+            with pytest.raises(OrderingError):
+                turning_points_from_x2(z * (1.0 - 1e-9), case)
+            tp = turning_points_from_x2(z * (1.0 + 1e-6), case)
+            assert 0.0 < tp.x1 < tp.x2
 
 
 class TestL1:
@@ -331,16 +355,96 @@ class TestQuantize:
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
     def test_extreme_coulomb_raises_package_error(self):
-        # Brent steps onto an x2 with no turning-point ordering; that error
-        # must come out as it is, not as a scipy TypeError on a None value
-        with pytest.raises(OrderingError):
+        # Brent converges from the floor, but the phase sum is too steep for
+        # the absolute residual test
+        with pytest.raises(BracketError, match="quantization residual"):
             quantize(DimensionlessCase(B=1e6, l=2, s=0, j=0))
+
+    def test_ordering_error_inside_bracket_escapes(self, monkeypatch):
+        # an x2 inside Brent's interval with no turning-point ordering must
+        # come out as OrderingError, not as a scipy TypeError on a None value
+        real_brentq, real_tp = pi_mod.brentq, pi_mod.turning_points_from_x2
+        interval = []
+
+        def brentq(f, a, b, **kwargs):
+            interval.extend((a, b))
+            return real_brentq(f, a, b, **kwargs)
+
+        def turning_points(x2, case):
+            if interval and interval[0] < x2 < interval[1]:
+                raise OrderingError(f"no ordering at x2={x2}")
+            return real_tp(x2, case)
+
+        monkeypatch.setattr(pi_mod, "brentq", brentq)
+        monkeypatch.setattr(pi_mod, "turning_points_from_x2", turning_points)
+        with pytest.raises(OrderingError, match="no ordering"):
+            quantize(DimensionlessCase(B=2.0, l=1, s=0, j=0))
+        assert interval
 
     def test_deterministic(self):
         c = DimensionlessCase(B=5.0, l=1, s=2, j=1)
         r1, r2 = quantize(c), quantize(c)
         assert r1.A == r2.A
         assert r1.u0 == r2.u0
+
+
+# (B, l, s, j, A, x2) as the scan over every point from x2 = 1e-6 found them
+PINNED_LEVELS = [
+    (2.0, 1, 0, 0, 2.235559784974787, 2.6690486973012995),
+    (2.0, 1, 0, 1, 2.238415816455046, 2.6717839556035794),
+    (2.0, 1, 1, 0, 4.014214032634561, 4.354831675150131),
+    (2.0, 1, 1, 1, 4.015273888176149, 4.355840132936776),
+    (2.0, 1, 2, 0, 5.472683219234964, 5.752369165685412),
+    (2.0, 1, 2, 1, 5.473367421685562, 5.753029084788803),
+    (2.0, 1, 5, 0, 9.019226904217906, 9.209859198694502),
+    (2.0, 1, 5, 1, 9.019733891128224, 9.21035731039701),
+    (2.0, 1, 10, 0, 13.719920739295006, 13.85257301259254),
+    (2.0, 1, 10, 1, 13.720387799229307, 13.853036030698842),
+    (2.0, 1, 15, 0, 17.704891518227917, 17.81009405901699),
+    (2.0, 1, 15, 1, 17.705328446579465, 17.81052859373191),
+    (2.0, 1, 20, 0, 21.27722829722419, 21.365906586349674),
+    (2.0, 1, 20, 1, 21.27763762599106, 21.3663143169339),
+    (0.0, 0, 0, 0, 2.3496580282123536, 2.3025016877877023),
+    (0.0, 0, 0, 1, 2.3361435019178742, 2.2884043752521683),
+    (0.0, 1, 0, 0, 3.365364701598277, 3.13667693245486),
+    (0.0, 1, 0, 1, 3.3611016802189893, 3.1316841441261976),
+    (0.0, 2, 0, 0, 4.250461813603435, 3.8227792085260672),
+    (0.0, 2, 0, 1, 4.248146416354977, 3.819795383625663),
+    (2.0, 0, 0, 0, 0.15157430094085916, 1.4288495106757837),
+    (2.0, 0, 0, 1, 0.19656960317030425, 1.4539061831298847),
+    (2.0, 2, 0, 0, 3.432195951887274, 3.492447071255527),
+    (2.0, 2, 0, 1, 3.43175313562576, 3.491938374251139),
+    (5.0, 1, 0, 0, 0.06702287064939316, 2.0026810845346117),
+    (5.0, 1, 0, 1, 0.08137989048147876, 2.0112031648233106),
+    (5.0, 2, 0, 0, 2.0235889485852714, 2.996165531189494),
+    (5.0, 2, 0, 1, 2.0269617830322937, 2.999253133699907),
+    (10.0, 2, 0, 0, -0.9524837057764475, 2.2539379361019316),
+    (10.0, 2, 0, 1, -0.9434608827787161, 2.2587474062440487),
+]
+
+
+class TestQuantizeScan:
+    def test_no_evaluation_below_the_floor(self, monkeypatch):
+        real_tp = pi_mod.turning_points_from_x2
+        calls = []
+
+        def counted(x2, case):
+            calls.append((x2, case))
+            return real_tp(x2, case)
+
+        monkeypatch.setattr(pi_mod, "turning_points_from_x2", counted)
+        cases = [DimensionlessCase(B=2.0, l=1, s=s, j=j) for s in range(21) for j in (0, 1)]
+        cases += [DimensionlessCase(B=B, l=l, s=0, j=j) for B, l, _ in TABLE2_J0 for j in (0, 1)]
+        for case in cases:
+            quantize(case)
+        assert not [(x2, case) for x2, case in calls if x2 <= x2_floor(case)]
+        assert len(calls) <= 250 * len(cases)
+
+    @pytest.mark.parametrize("B,l,s,j,A,x2", PINNED_LEVELS)
+    def test_pinned_levels(self, B, l, s, j, A, x2):
+        res = quantize(DimensionlessCase(B=B, l=l, s=s, j=j))
+        assert res.A == pytest.approx(A, rel=1e-15)
+        assert res.x2 == pytest.approx(x2, rel=1e-15)
 
 
 class TestChi0:

@@ -18,9 +18,8 @@ from cornellbound.special import (
     ellip_Pi,
     inverse_sn,
     jacobi_complex,
-    jacobi_sn_cn_dn,
 )
-from oracles import jacobi_epsilon, z_integrals
+from oracles import jacobi_epsilon, jacobi_sn_cn_dn, z_integrals
 
 # frozen quadrature-oracle values of the defining integrals
 K_HALF = 1.854074677301372
