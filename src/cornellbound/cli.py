@@ -30,11 +30,11 @@ CSV, the full diagnostics as JSON at OUT.json).
 
 Exit codes: 0 full success; 1 configuration error (an unreadable config,
 an unknown key, a value of the wrong type or range, numerov --levels
-outside 1..N-1 or fewer than 3 --grids, all checked before any case
-runs, a rates --csv table without the comparison columns, or a non-finite
-rates --values or --ref entry); 2 partial
-per-case failures (each reported as a FAILED line on stderr; the other
-cases still run).
+outside 1..N-1, fewer than 3 --grids or a grid below 8 subintervals
+(numerov, rates), all checked before any case runs, a rates --csv table
+without the comparison columns, or a non-finite rates --values or --ref
+entry); 2 partial per-case failures (each reported as a FAILED line on
+stderr; the other cases still run).
 """
 
 from __future__ import annotations
@@ -160,6 +160,14 @@ def _levels_config(args, **defaults) -> report.RunConfig:
     return config
 
 
+def _sweep_grids(config: report.RunConfig, ns: list[int]) -> list[Grid]:
+    """The --grids meshes of a convergence table, checked before any case runs."""
+    grids = [Grid(config.z_min, config.z_max, n) for n in ns]
+    if len(grids) < 3:
+        raise DomainError("--grids needs at least 3 grids for a convergence table")
+    return grids
+
+
 def _header() -> None:
     print(f"# cornellbound | adopted convention: {report.B_DEFINITION}")
 
@@ -172,9 +180,7 @@ def cmd_numerov(args) -> int:
     sweep = SWEEP_DOMAIN if args.grids else {}
     config = resolve_config(args, B_values=[0.0], l_values=[0], **sweep)
     grid = config.grid()
-    grids = [Grid(config.z_min, config.z_max, n) for n in args.grids or []]
-    if args.grids is not None and len(grids) < 3:
-        raise DomainError("--grids needs at least 3 grids for a convergence table")
+    grids = [] if args.grids is None else _sweep_grids(config, args.grids)
     if not (args.grids or args.tracked or 1 <= args.levels < config.n):
         raise DomainError(f"--levels must be between 1 and {config.n - 1}")
     _header()
@@ -264,6 +270,7 @@ def cmd_rates(args) -> int:
     explicit = (args.values or []) + ([] if args.ref is None else [args.ref])
     if not all(map(math.isfinite, explicit)):
         raise DomainError("--values and --ref must be finite")
+    grids = _sweep_grids(config, args.grids)
     _header()
     failures = 0
     sequences = []
@@ -272,7 +279,6 @@ def cmd_rates(args) -> int:
     elif args.csv is not None:
         sequences.append((args.csv, [r.A_N for r in report.read_csv(args.csv)]))
     elif config.B_values and config.l_values:
-        grids = [Grid(config.z_min, config.z_max, n) for n in args.grids]
         for B in config.B_values:
             for l in config.l_values:
                 label = f"B={B:g} l={l}"

@@ -152,9 +152,8 @@ def L3_coefficients(m: float, alpha2: float) -> L3Coefficients:
     return L3Coefficients(A_cal, B_cal, G)
 
 
-def _boundary_numerator(u0: complex, m: float, alpha2: float) -> complex:
+def _boundary_numerator(sn: complex, cn: complex, m: float, alpha2: float) -> complex:
     """Numerator F(u0, m, alpha^2) of the sn cn dn pole part of C."""
-    sn, cn, _ = jacobi_complex(u0, m)
     return (
         (m * m + m) * cn**4
         - m * m
@@ -176,7 +175,7 @@ def C_term(u0, m: float, alpha2: float) -> complex:
     if min(abs(sn), abs(cn), abs(dn)) < special.SINGULAR_TOL:
         raise special.SingularPointError(f"sn, cn, dn must be nonzero at u0 = {u0}")
     G = L3_coefficients(m, alpha2).G
-    return _boundary_numerator(u0, m, alpha2) / (cn * dn * sn) + G * cn * sn / dn
+    return _boundary_numerator(sn, cn, m, alpha2) / (cn * dn * sn) + G * cn * sn / dn
 
 
 def solve_u0_kappas(m: float, alpha2: float) -> tuple[float, float, float]:
@@ -194,30 +193,31 @@ def solve_u0(m: float, alpha2: float) -> ComplexPoint:
     With x = sn^2(u0), C = [F + G x(1 - x)] / (sn cn dn), and the numerator
     is kappa2 x^2 + kappa1 x + kappa0.  Since C(-u) = -C(u) and
     C(conj u) = conj C(u), only w = sn(u0) in the closed first quadrant is
-    tried: the one root with Im x > 0 when the roots are complex, both in
-    the order below when they are real.  The first candidate passing
-    verification (|C| <= C_TOL, sn/cn/dn all nonzero) wins.
+    tried: the +disc root alone when the roots are a conjugate pair, the
+    +disc then the -disc root when they are real.  Each root is taken from
+    whichever of (-kappa1 +- disc) / (2 kappa2) and 2 kappa0 / (-kappa1 -+ disc)
+    divides by the sum that does not cancel (Numerical Recipes 5.6), so a
+    small kappa2 costs no accuracy; kappa2 = 0 leaves the one finite root.
+    The first candidate with |C| <= C_TOL wins.
     """
     if abs(m - 1.0) < DEGENERACY_TOL:
         # kappa2 = alpha^2 - 1, kappa1 = 0, kappa0 = 1 - alpha^2:
         # sn^2(u0) = -1, and sn(u0, 1) = i gives u0 = i pi/4.
         return ComplexPoint(0.0, math.pi / 4.0)
     k2, k1, k0 = solve_u0_kappas(m, alpha2)
-    if abs(k2) < DEGENERACY_TOL:
-        raise DomainError("kappa2 vanishes; quadratic branch selection undefined")
     disc = cmath.sqrt(complex(k1 * k1 - 4.0 * k0 * k2))
-    roots = [(-k1 + disc) / (2.0 * k2), (-k1 - disc) / (2.0 * k2)]
-    if disc.imag:  # a conjugate pair
-        roots = roots[:1]
     failures = []
-    for x in roots:
+    for d in (disc,) if disc.imag else (disc, -disc):
+        top, bottom = -k1 + d, -k1 - d  # x = top / (2 kappa2) = 2 kappa0 / bottom
+        if abs(bottom) > abs(top):
+            x = 2.0 * k0 / bottom
+        elif k2:
+            x = top / (2.0 * k2)
+        else:
+            continue  # kappa2 = 0 puts this root at infinity
         w = cmath.sqrt(complex(x.real, abs(x.imag)))
         try:
             u0 = special.inverse_sn(w, m)
-            sn, cn, dn = jacobi_complex(u0, m)
-            if min(abs(sn), abs(cn), abs(dn)) < special.SINGULAR_TOL:
-                failures.append((w, "vanishing Jacobi function"))
-                continue
             c_abs = abs(C_term(u0, m, alpha2))
             if c_abs <= C_TOL:
                 return u0

@@ -235,11 +235,9 @@ def rows_to_json(rows: list[ComparisonRow]) -> list[dict]:
     return out
 
 
-def write_json(rows: list[ComparisonRow], path, extra: dict | None = None) -> None:
+def write_json(rows: list[ComparisonRow], path) -> None:
     """Full per-case diagnostics, one object per case."""
     payload = {"B_definition": B_DEFINITION, "cases": rows_to_json(rows)}
-    if extra:
-        payload.update(extra)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, default=str)
         fh.write("\n")

@@ -8,8 +8,8 @@ A complex argument u = x + iy is reduced to the real-argument triples at
 x (parameter m) and at y (the complementary parameter 1 - m) by
 Abramowitz & Stegun 16.21.  The inverse of sn is Carlson's form of F on
 the first quadrant of w, closed-form edge inverses on the real half-line
-w > 1, and the reflections of sn elsewhere, with one Newton polish.  All
-functions here are pure.
+w > 1, and the reflections of sn elsewhere, checked by one evaluation of
+sn.  All functions here are pure.
 """
 
 from __future__ import annotations
@@ -134,7 +134,8 @@ def inverse_sn(w, m) -> ComplexPoint:
     preimage is Carlson's form of F; on its cut, real w > 1, the edges
     sn(K + iy | m) = 1/dn(y | 1 - m) and sn(x + iK' | m) = 1/(sqrt m sn x)
     are inverted instead.  Any other w is reflected there by sn(-u) = -sn u
-    and sn(conj u) = conj sn u.  Newton's method polishes the result.
+    and sn(conj u) = conj sn u.  NonConvergenceError is raised when
+    |sn(u) - w| > 1e-10 max(1, |w|).
     """
     m = _m_value(m)
     w = complex(w)
@@ -154,31 +155,12 @@ def inverse_sn(w, m) -> ComplexPoint:
             u = complex(x, ellip_K(1.0 - m))
     else:
         u = complex(_carlson_F(v, m))
-    u = _newton_sn(u, v, m)
     # w is v, conj v, -conj v or -v
     if (w.real < 0.0) != (w.imag < 0.0):
         u = u.conjugate()
     if w.real < 0.0:
         u = -u
-    return ComplexPoint(u.real, u.imag)
-
-
-def _newton_sn(u: complex, w: complex, m: float, max_iter: int = 60) -> complex:
-    for _ in range(max_iter):
-        try:
-            sn, cn, dn = jacobi_complex(u, m)
-        except SingularPointError:
-            break
-        deriv = cn * dn
-        if abs(deriv) < 1e-14:
-            break
-        du = (sn - w) / deriv
-        if abs(du) > 1.0:
-            du /= abs(du)
-        u = u - du
-        if abs(du) < 1e-15:
-            return u
     sn, _, _ = jacobi_complex(u, m)
     if abs(sn - w) > 1e-10 * max(1.0, abs(w)):
-        raise NonConvergenceError(f"inverse_sn Newton iteration failed for w={w}, m={m}")
-    return u
+        raise NonConvergenceError(f"inverse_sn: |sn(u) - w| = {abs(sn - w):.3e} for w={w}, m={m}")
+    return ComplexPoint(u.real, u.imag)

@@ -299,6 +299,16 @@ class TestRatesCommand:
         assert "B=2 l=0  FAILED: forced failure" in captured.err
         assert "B=0 l=0  N_k = " in captured.out
 
+    @pytest.mark.parametrize(
+        "grids, message", [("8,16", "at least 3 grids"), ("4,8,16", "need at least 8 subintervals")]
+    )
+    def test_bad_grids_are_configuration_errors(self, capsys, grids, message):
+        assert run(["rates", "-B", "0", "-l", "0", "--grids", grids]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "configuration error" in captured.err
+        assert message in captured.err
+
     def test_missing_inputs_exit_1(self, capsys):
         assert run(["rates"]) == 1
         assert "need --values" in capsys.readouterr().err

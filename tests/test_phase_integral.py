@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from cornellbound import phase_integral as pi_mod
+from cornellbound import special
 from cornellbound.errors import BracketError, DomainError, NonConvergenceError, NoValidRootError, OrderingError
 from cornellbound.model import DimensionlessCase, Q2_of_z, R_of_z
 from cornellbound.phase_integral import (
@@ -225,18 +226,29 @@ class TestBasePoint:
         with pytest.raises(NoValidRootError, match="forced failure"):
             solve_u0(0.5, 0.3)
 
+    @staticmethod
+    def _assert_valid_u0(m, a2):
+        """solve_u0 solves the quadratic in sn^2, kills C and lands in [0, K] x [0, K']."""
+        u0 = solve_u0(m, a2)
+        sn, _, _ = jacobi_complex(u0, m)
+        k2, k1, k0 = solve_u0_kappas(m, a2)
+        x = sn * sn
+        scale = max(abs(k2), abs(k1), abs(k0))
+        assert abs(k2 * x * x + k1 * x + k0) < 1e-7 * scale
+        assert abs(C_term(u0, m, a2)) <= pi_mod.C_TOL
+        assert -1e-12 <= u0.re <= ellip_K(m) + 1e-12
+        assert -1e-12 <= u0.im <= ellip_K(1 - m) + 1e-12
+
     def test_u0_satisfies_quadratic_and_kills_C(self):
         rng = np.random.default_rng(73)
         for _, _, tp in _random_cases(rng, 30):
-            u0 = solve_u0(tp.m, tp.alpha2)
-            sn, _, _ = jacobi_complex(u0, tp.m)
-            k2, k1, k0 = solve_u0_kappas(tp.m, tp.alpha2)
-            x = sn * sn
-            scale = max(abs(k2), abs(k1), abs(k0))
-            assert abs(k2 * x * x + k1 * x + k0) < 1e-7 * scale
-            assert abs(C_term(u0, tp.m, tp.alpha2)) <= pi_mod.C_TOL
-            assert -1e-12 <= u0.re <= ellip_K(tp.m) + 1e-12
-            assert -1e-12 <= u0.im <= ellip_K(1 - tp.m) + 1e-12
+            self._assert_valid_u0(tp.m, tp.alpha2)
+
+    def test_u0_with_tiny_kappa2(self):
+        # kappa2 ~ 2 m^2 alpha^2 = 3e-11 at a Coulomb-dominated level
+        m, a2 = 4.1e-6, 0.93
+        assert 1e-11 < solve_u0_kappas(m, a2)[0] < 1e-10
+        self._assert_valid_u0(m, a2)
 
     def test_C_explicit_three_term_form(self):
         # the raw three-ratio form of C equals the F/G assembled form
@@ -354,6 +366,18 @@ class TestQuantize:
         vals = [quantize(case(s)).A for s in range(4)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("B", [150.0, 200.0])
+    def test_coulomb_dominated_third_order(self, B):
+        # hydrogenic level -B^2/4 plus the first-order shift <z> = 3/B
+        res = quantize(DimensionlessCase(B=B, l=0, s=0, j=1))
+        assert res.C_abs <= pi_mod.C_TOL
+        assert res.A == pytest.approx(-(B**2) / 4.0 + 3.0 / B, abs=1e-5)
+
+    def test_coulomb_dominated_leading_order(self):
+        res = quantize(DimensionlessCase(B=150.0, l=0, s=0, j=0))
+        assert res.C_abs <= pi_mod.C_TOL
+        assert L1_quadrature(res.turning_points) == pytest.approx(math.pi / 2, abs=1e-9)
+
     def test_extreme_coulomb_raises_package_error(self):
         # Brent converges from the floor, but the phase sum is too steep for
         # the absolute residual test
@@ -439,6 +463,24 @@ class TestQuantizeScan:
             quantize(case)
         assert not [(x2, case) for x2, case in calls if x2 <= x2_floor(case)]
         assert len(calls) <= 250 * len(cases)
+
+    def test_jacobi_evaluations_per_level(self, monkeypatch):
+        # one in inverse_sn's check, one in solve_u0's C, one in quantize's C
+        calls = []
+        real = special.jacobi_complex
+
+        def counted(u, m):
+            calls.append(u)
+            return real(u, m)
+
+        monkeypatch.setattr(special, "jacobi_complex", counted)
+        monkeypatch.setattr(pi_mod, "jacobi_complex", counted)
+        cases = [DimensionlessCase(B=2.0, l=1, s=s, j=j) for s in range(21) for j in (0, 1)]
+        cases += [DimensionlessCase(B=B, l=l, s=0, j=j) for B, l, _ in TABLE2_J0 for j in (0, 1)]
+        for case in cases:
+            before = len(calls)
+            quantize(case)
+            assert len(calls) - before <= 3, case
 
     @pytest.mark.parametrize("B,l,s,j,A,x2", PINNED_LEVELS)
     def test_pinned_levels(self, B, l, s, j, A, x2):

@@ -216,10 +216,9 @@ class TestSerialization:
 
     def test_json_output(self, tmp_path):
         path = tmp_path / "rows.json"
-        write_json(self._rows(), path, extra={"note": "x"})
+        write_json(self._rows(), path)
         payload = json.loads(path.read_text(encoding="utf-8"))
         assert payload["B_definition"] == B_DEFINITION
-        assert payload["note"] == "x"
         assert len(payload["cases"]) == 2
         assert payload["cases"][0]["u0"] == {"re": 1.1, "im": 0.4}
         assert payload["cases"][1]["error"] is None

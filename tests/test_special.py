@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from cornellbound.errors import DomainError, SingularPointError
+from cornellbound import special
+from cornellbound.errors import DomainError, NonConvergenceError, SingularPointError
 from cornellbound.special import (
     ComplexPoint,
     ellip_E,
@@ -279,6 +280,14 @@ class TestInverseSn:
             u = inverse_sn(w, m)
             sn, _, _ = jacobi_complex(u, m)
             assert abs(sn - w) < 1e-12 * max(1.0, abs(w))
+
+    def test_wrong_inverse_is_rejected(self, monkeypatch):
+        # the one evaluation of sn after the closed form is a real check
+        real = special._carlson_F
+        monkeypatch.setattr(special, "_carlson_F", lambda w, m: real(w, m) + 1e-3)
+        for w in (0.4 + 0.3j, 2.0, 7.0):
+            with pytest.raises(NonConvergenceError, match="inverse_sn"):
+                inverse_sn(w, 0.6)
 
     def test_principal_rectangle(self):
         # first-quadrant w has its principal preimage in [0,K] x [0,K']
