@@ -1,14 +1,16 @@
 """Phase-integral quantization for the linear-plus-Coulomb problem.
 
 -Q^2 has three real zeros x0 < 0 < x1 < x2; the classically allowed region
-is (x1, x2).  Writing x0 = S - T, x1 = S + T with
+is (x1, x2).  Given x2, the other two are S -+ T with
 
-    S = (l+1/2)^2 / (2 x2^2) - B / (2 x2),   T^2 = S^2 + (l+1/2)^2 / x2,
+    S = (l+1/2)^2 / (2 x2^2) - B / (2 x2),   T^2 = S^2 + (l+1/2)^2 / x2;
 
-every quantity of the quantization condition becomes a function of x2
-alone:  d^2 = x2 - x0,  m = k^2 = (x2 - x1)/(x2 - x0),  alpha^2 =
-(x2 - x1)/x2.  The leading integral L1 reduces to complete elliptic
-integrals; the third-order correction L3 reduces to
+the one of larger magnitude is taken from S -+ T and the other from Vieta,
+x0 x1 x2 = -(l+1/2)^2, so neither cancels.  Every quantity of the
+quantization condition is then a function of x2 alone:  d^2 = x2 - x0,
+m = k^2 = (x2 - x1)/(x2 - x0),  alpha^2 = (x2 - x1)/x2.  The leading
+integral L1 is a sum of Carlson's symmetric R_F, R_D and R_J; the
+third-order correction L3 reduces to
 
     L3 = [Acal(m, a2) E(m) + Bcal(m, a2) K(m)] / (12 d^3 m alpha^2)
 
@@ -31,11 +33,13 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.special import elliprd, elliprf, elliprj
 
 from . import special
 from .errors import BracketError, CornellboundError, DomainError, NoValidRootError, OrderingError
 from .model import DimensionlessCase, Q2_of_z, R_of_z
-from .special import ComplexPoint, ellip_E, ellip_K, ellip_Pi, jacobi_complex
+from .special import ComplexPoint, ellip_E, ellip_K, jacobi_complex
+from .special import ellip_Pi  # noqa: F401  (benchmark traces wrap phase_integral.ellip_Pi by name)
 
 # tolerances of the verified post-conditions
 C_TOL = 1e-8
@@ -50,15 +54,9 @@ class TurningPoints:
     x0: float
     x1: float
     x2: float
-    S: float
-    T: float
     d2: float
-    k2: float
+    m: float
     alpha2: float
-
-    @property
-    def m(self) -> float:
-        return self.k2
 
     @property
     def d3(self) -> float:
@@ -89,14 +87,16 @@ def turning_points_from_x2(x2: float, case: DimensionlessCase) -> TurningPoints:
     nu2 = case.nu**2
     S = nu2 / (2.0 * x2**2) - case.B / (2.0 * x2)
     T = math.sqrt(S * S + nu2 / x2)
-    x1 = S + T
-    x0 = S - T
+    if S < 0.0:
+        x0 = S - T
+        x1 = (nu2 / x2) / (T - S)
+    else:
+        x1 = S + T
+        x0 = -(nu2 / x2) / (S + T)
     if not (0.0 < x1 < x2):
         raise OrderingError(f"no ordering 0 < x1 < x2 at x2={x2} (x1={x1})")
     d2 = x2 - x0
-    k2 = (x2 - x1) / d2
-    alpha2 = (x2 - x1) / x2
-    return TurningPoints(x0=x0, x1=x1, x2=x2, S=S, T=T, d2=d2, k2=k2, alpha2=alpha2)
+    return TurningPoints(x0=x0, x1=x1, x2=x2, d2=d2, m=(x2 - x1) / d2, alpha2=(x2 - x1) / x2)
 
 
 def x2_floor(case: DimensionlessCase) -> float:
@@ -111,24 +111,22 @@ def x2_floor(case: DimensionlessCase) -> float:
     return 2.0 * nu2 / (t * t + case.B / 3.0 + case.B**2 / (9.0 * t * t))
 
 
-def _f1(m: float, a2: float) -> float:
-    """Coefficient f1(m, alpha^2) of the closed-form L1."""
-    return 2.0 * m * ((1.0 - m) * a2**2 + 3.0 * m * m * (a2 - 1.0)) / (3.0 * a2**2)
-
-
 def L1_closed(tp: TurningPoints) -> float:
-    """Leading quantization integral in closed elliptic form."""
-    m, a2 = tp.m, tp.alpha2
-    if abs(a2 - m) < DEGENERACY_TOL:
-        raise DomainError("alpha^2 = m is a pole of the complementary characteristic")
-    ap2 = a2 * (1.0 - m) / (a2 - m)
-    K = ellip_K(m)
-    E = ellip_E(m)
-    return tp.d3 * (
-        _f1(m, a2) * (K - E) / m
-        + _f1(1.0 - m, ap2) * E / (1.0 - m)
-        + 2.0 * m * (1.0 - m) * (a2 - 1.0) / (a2 * ap2) * ellip_Pi(a2, m)
-    )
+    """Leading quantization integral L1 = int_{x1}^{x2} sqrt(P(t)) / t dt.
+
+    With P = (t - x0)(t - x1)(x2 - t), the moment int P'/sqrt(P) = 0 removes
+    the t^2 term, and t = x2 (1 - alpha^2 sin^2) leaves Carlson's integrals
+    at (0, 1 - m, 1[, 1 - alpha^2]) (DLMF 19.29):
+
+        L1 = (2/3) m d [d^2 R_F - (x0 + x1 + x2) R_D / 3 + (x0 x1 / x2) R_J].
+
+    1 - m = (x1 - x0)/d^2 and 1 - alpha^2 = x1/x2 are formed directly, so
+    no term carries a 1/m or a pole.
+    """
+    x0, x1, x2, d2 = tp.x0, tp.x1, tp.x2, tp.d2
+    y, p = (x1 - x0) / d2, x1 / x2
+    rf, rd, rj = elliprf(0.0, y, 1.0), elliprd(0.0, y, 1.0), elliprj(0.0, y, 1.0, p)
+    return float(2.0 / 3.0 * tp.m * math.sqrt(d2) * (d2 * rf - (x0 + x1 + x2) * rd / 3.0 + x0 * x1 / x2 * rj))
 
 
 class L3Coefficients(NamedTuple):
@@ -187,8 +185,8 @@ def solve_u0_kappas(m: float, alpha2: float) -> tuple[float, float, float]:
     return k2, k1, k0
 
 
-def solve_u0(m: float, alpha2: float) -> ComplexPoint:
-    """A base point u0 in [0, K] x [0, K'] with C(u0, m, alpha^2) = 0.
+def solve_u0(m: float, alpha2: float) -> tuple[ComplexPoint, float]:
+    """A base point u0 in [0, K] x [0, K'] with C(u0, m, alpha^2) = 0, and |C(u0)|.
 
     With x = sn^2(u0), C = [F + G x(1 - x)] / (sn cn dn), and the numerator
     is kappa2 x^2 + kappa1 x + kappa0.  Since C(-u) = -C(u) and
@@ -198,12 +196,12 @@ def solve_u0(m: float, alpha2: float) -> ComplexPoint:
     whichever of (-kappa1 +- disc) / (2 kappa2) and 2 kappa0 / (-kappa1 -+ disc)
     divides by the sum that does not cancel (Numerical Recipes 5.6), so a
     small kappa2 costs no accuracy; kappa2 = 0 leaves the one finite root.
-    The first candidate with |C| <= C_TOL wins.
+    The first candidate with |C| <= C_TOL wins, returned with its |C|.
     """
     if abs(m - 1.0) < DEGENERACY_TOL:
         # kappa2 = alpha^2 - 1, kappa1 = 0, kappa0 = 1 - alpha^2:
-        # sn^2(u0) = -1, and sn(u0, 1) = i gives u0 = i pi/4.
-        return ComplexPoint(0.0, math.pi / 4.0)
+        # sn^2(u0) = -1 zeroes the numerator, and sn(u0, 1) = i gives u0 = i pi/4.
+        return ComplexPoint(0.0, math.pi / 4.0), 0.0
     k2, k1, k0 = solve_u0_kappas(m, alpha2)
     disc = cmath.sqrt(complex(k1 * k1 - 4.0 * k0 * k2))
     failures = []
@@ -220,7 +218,7 @@ def solve_u0(m: float, alpha2: float) -> ComplexPoint:
             u0 = special.inverse_sn(w, m)
             c_abs = abs(C_term(u0, m, alpha2))
             if c_abs <= C_TOL:
-                return u0
+                return u0, c_abs
             failures.append((w, f"|C| = {c_abs:.3e}"))
         except CornellboundError as exc:  # candidate invalid; try the next one
             failures.append((w, repr(exc)))
@@ -302,8 +300,7 @@ def quantize(case: DimensionlessCase) -> QuantizationResult:
         raise BracketError(f"quantization residual {residual} above {RESIDUAL_TOL}")
 
     tp = turning_points_from_x2(x2, case)
-    u0 = solve_u0(tp.m, tp.alpha2)
-    c_abs = abs(C_term(u0, tp.m, tp.alpha2))
+    u0, c_abs = solve_u0(tp.m, tp.alpha2)
     return QuantizationResult(
         case=case,
         x2=x2,

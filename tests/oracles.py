@@ -141,6 +141,37 @@ def L1_quadrature(tp) -> float:
     return 2.0 * m * tp.d3 * a2 * val
 
 
+def L1_mpmath(B: float, l: int, x2: float) -> float:
+    """Leading integral int_{x1}^{x2} sqrt(P(t)) / t dt at 30 digits.
+
+    P = (t - x0)(t - x1)(x2 - t), with the turning points of the given x2
+    worked out in mpmath: the zero of larger magnitude from S -+ T and the
+    other by Vieta, x0 x1 x2 = -(l+1/2)^2 (for S < 0 near the floor, S + T
+    at 30 digits leaves x1 off by 2e-14 relative at B = 1e6 and by 2e-11 at
+    B = 1e7).  Tanh-sinh quadrature in
+    tau = log t, where the integrand is sqrt(P(e^tau)) with square-root
+    endpoints; t - x1 and x2 - t are taken with expm1 so they keep their
+    sign next to the endpoints.
+    """
+    with mp.workdps(30):
+        B, x2, nu2 = mp.mpf(B), mp.mpf(x2), mp.mpf(l + 0.5) ** 2
+        S = nu2 / (2 * x2**2) - B / (2 * x2)
+        T = mp.sqrt(S * S + nu2 / x2)
+        if S < 0:
+            x0, x1 = S - T, (nu2 / x2) / (T - S)
+        else:
+            x0, x1 = -(nu2 / x2) / (S + T), S + T
+        if not 0 < x1 < x2:
+            raise DomainError(f"no ordering 0 < x1 < x2 at x2={x2}")
+
+        lo, hi = mp.log(x1), mp.log(x2)
+
+        def integrand(tau):
+            return mp.sqrt((mp.exp(tau) - x0) * x1 * mp.expm1(tau - lo) * -x2 * mp.expm1(tau - hi))
+
+        return float(mp.quad(integrand, [lo, hi]))
+
+
 def L3_partial_fractions(m: float, a2: float) -> tuple[float, float, float]:
     """F1, F2, F3 splitting (1 - a2 x)(1 + m - 3 m x) / [x (1-x)(1-mx)]."""
     F1 = 1.0 + m

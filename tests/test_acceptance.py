@@ -205,8 +205,6 @@ def test_criterion_6_L1_oracle_equivalence(capsys):
             tp = turning_points_from_x2(x2, case)
         except OrderingError:
             continue
-        if abs(tp.alpha2 - tp.m) < 1e-6:
-            continue
         checked += 1
         a, b = L1_closed(tp), oracles.L1_quadrature(tp)
         if abs(a - b) > 1e-8 * max(1.0, abs(a)):

@@ -144,7 +144,8 @@ class TestPhaseCommand:
         code = run(["phase", "-B", "1e6", "-l", "2", "-s", "0", "--order", "0"])
         err = capsys.readouterr().err
         assert code == 2
-        assert "B=1e+06 l=2 s=0  FAILED: quantization residual" in err
+        assert "B=1e+06 l=2 s=0  FAILED: no C = 0 base point" in err
+        assert "Traceback" not in err
 
     def test_config_round_trip(self, capsys, tmp_path):
         cfg = write_config(tmp_path, {"B_values": [2.0], "l_values": [1], "s_values": [1], "j": 0})
