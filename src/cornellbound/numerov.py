@@ -18,17 +18,16 @@ with psi = Bhat chi.  K and M are symmetric, M is positive definite, and
 K - sigma M = Bhat (H - sigma) Bhat is positive definite exactly when
 sigma lies below every level (Sylvester inertia).  `solve` bisects for
 such a shift between min V - 1 (valid because -Bhat^{-1} Ahat is positive
-definite) and the Rayleigh quotient K_ii/M_ii at argmin V, with
-`cholesky_banded` as the test.  With U the last successful factor,
+definite) and the Rayleigh quotient K_ii/M_ii at argmin V, with LAPACK's
+banded Cholesky `dpbtrf` as the test.  With U the last successful factor,
 
     x -> Bhat U^{-1} U^{-T} Bhat x = Bhat (K - sigma M)^{-1} Bhat x = (H - sigma)^{-1} x
 
-is symmetric positive definite, so a standard-mode Lanczos iteration
-(`eigsh`) finds its largest eigenvalues theta, the levels are
-A = sigma + 1/theta, and its eigenvectors are the orthonormal psi.  Memory
-and time per operator application are O(n).  When ARPACK's default Krylov
-basis, min(n, max(2 count + 1, 20)) vectors, would span the whole space,
-the (K, M) pencil is solved densely instead.
+is symmetric positive definite and costs one `dpbtrs` solve, so a
+standard-mode Lanczos iteration (`eigsh`) finds its largest eigenvalues
+theta, the levels are A = sigma + 1/theta, and its eigenvectors are the
+orthonormal psi.  Small systems, where that costs more than O(n^3), take a
+dense solve of the (K, M) pencil instead, with no shift.
 
 The dense matrices of the original pencil and of the symmetric operator
 (`kinetic_matrix`, `b_matrix`, `left_matrix`, `symmetric_operator`) and
@@ -43,16 +42,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded, eigh, solve_banded
+from scipy.linalg import eigh, solve_banded
 from scipy.linalg import eig  # noqa: F401  (benchmark traces wrap numerov.eig by name)
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import DomainError, NonConvergenceError
-from .model import DimensionlessCase
+from .model import DimensionlessCase, R_of_z
 
 #: the shift bisection stops once the bracket around the lowest level is
 #: narrower than this fraction of max(1, |upper end|)
 SHIFT_RTOL = 1e-2
+#: fixed cost of 2 Lanczos operator applications (ARPACK's reverse communication,
+#: the Python operator, one banded solve) over a dense pencil solve's cost per n^3
+LANCZOS_OVERHEAD = 150_000
 
 #: default production domain (any domain is accepted via Grid)
 DEFAULT_Z_MIN = 1e-4
@@ -205,12 +208,8 @@ class Spectrum:
 
 
 def effective_potential(case: DimensionlessCase, z):
-    """V_eff(z) = z - B/z + l(l+1)/z^2, so that R(z) = A - V_eff(z)."""
-    z = np.asarray(z, dtype=float)
-    if np.any(z <= 0.0):
-        raise DomainError("z must be positive")
-    out = z - case.B / z + case.l * (case.l + 1) / z**2
-    return float(out) if out.ndim == 0 else out
+    """V_eff(z) = z - B/z + l(l+1)/z^2 = -R(z) at A = 0."""
+    return -R_of_z(0.0, case, z)
 
 
 def assemble(case: DimensionlessCase, grid: Grid) -> NumerovSystem:
@@ -240,32 +239,36 @@ def _certified_shift(k: np.ndarray, m: np.ndarray, v: np.ndarray) -> tuple[float
     """
     i = int(np.argmin(v))
     lo, hi = float(v[i]) - 1.0, float(k[2, i] / m[2, i])
-    try:
-        factor = cholesky_banded(k - lo * m)
-    except LinAlgError as exc:
-        raise NonConvergenceError(f"K - sigma M is not positive definite at sigma = {lo:g}") from exc
+    factor, info = dpbtrf(k - lo * m)
+    if info:
+        raise NonConvergenceError(f"K - sigma M is not positive definite at sigma = {lo:g}")
     steps = 0
     while hi - lo > SHIFT_RTOL * max(1.0, abs(hi)):
         mid = 0.5 * (lo + hi)
         steps += 1
-        try:
-            factor = cholesky_banded(k - mid * m)
-            lo = mid
-        except LinAlgError:
+        trial, info = dpbtrf(k - mid * m)
+        if info:
             hi = mid
+        else:
+            lo, factor = mid, trial
     return lo, hi, factor, steps
 
 
 def solve(case: DimensionlessCase, grid: Grid, count: int, eigenvectors: bool = False) -> Spectrum:
     """The `count` smallest dimensionless levels A on the given grid.
 
-    Standard-mode Lanczos on (H - sigma)^{-1} = Bhat (K - sigma M)^{-1} Bhat
-    from a certified shift below the whole spectrum, or a dense solve of
-    the (K, M) pencil when ARPACK's default Krylov basis would span the
-    whole space.  Eigenvectors are the orthonormal psi.  The diagnostics
-    record the solver, the system size, the shift `sigma`, the bracket
-    (`sigma_lo`, `sigma_hi`] of the lowest level, the bisection steps and,
-    for Lanczos, the operator applications (one Cholesky solve each).
+    Lanczos costs about 2 ncv operator applications, ncv = min(n, max(2 count
+    + 1, 20)) being ARPACK's default Krylov basis, each a fixed call overhead
+    plus an orthogonalization against up to ncv vectors of length n.  In units
+    of the dense (K, M) solve's cost per n^3 that is about
+    ncv (LANCZOS_OVERHEAD + n ncv), so systems with n^3 at most that, all with
+    ncv = n among them, take the dense path: LAPACK's subset driver for the
+    lowest `count` levels, and no shift.  Others take standard-mode Lanczos
+    on (H - sigma)^{-1} = Bhat (K - sigma M)^{-1} Bhat from a certified
+    shift.  Eigenvectors are the orthonormal psi.  The
+    diagnostics hold the solver, the size and `krylov_basis` (ncv); Lanczos
+    adds `sigma`, the bracket (`sigma_lo`, `sigma_hi`] of the lowest level,
+    the bisection steps and the operator applications (one `dpbtrs` each).
     """
     system = assemble(case, grid)
     n = system.size
@@ -273,27 +276,20 @@ def solve(case: DimensionlessCase, grid: Grid, count: int, eigenvectors: bool = 
         raise DomainError(f"count must be between 1 and {n}")
 
     k_bands, m_bands = system.pencil_bands()
-    sigma, upper, factor, steps = _certified_shift(k_bands, m_bands, system.potential_values)
-    dense = max(2 * count + 1, 20) >= n
-    diagnostics = {
-        "solver": "dense" if dense else "lanczos",
-        "size": n,
-        "sigma": sigma,
-        "sigma_lo": sigma,
-        "sigma_hi": upper,
-        "shift_steps": steps,
-    }
-    if dense:
-        # the full solve beats eigh's subset driver whenever count >= size/2
-        w, chi = eigh(_dense_symmetric(k_bands), _dense_symmetric(m_bands))
-        w, psi = w[:count], system.apply_b(chi[:, :count])
+    ncv = min(n, max(2 * count + 1, 20))
+    diagnostics = {"solver": "dense", "size": n, "krylov_basis": ncv}
+    if n**3 <= ncv * (LANCZOS_OVERHEAD + n * ncv):
+        pencil = _dense_symmetric(k_bands), _dense_symmetric(m_bands)
+        out = eigh(*pencil, subset_by_index=[0, count - 1], eigvals_only=not eigenvectors)
+        w, psi = (out[0], system.apply_b(out[1])) if eigenvectors else (out, None)
     else:
+        sigma, upper, factor, steps = _certified_shift(k_bands, m_bands, system.potential_values)
         solves = 0
 
         def shift_invert(x):
             nonlocal solves
             solves += 1
-            return system.apply_b(cho_solve_banded((factor, False), system.apply_b(x)))
+            return system.apply_b(dpbtrs(factor, system.apply_b(x))[0])
 
         # a fixed start vector makes repeated solves bitwise reproducible
         v0 = np.random.default_rng(0).standard_normal(n)
@@ -304,14 +300,9 @@ def solve(case: DimensionlessCase, grid: Grid, count: int, eigenvectors: bool = 
             raise NonConvergenceError(f"shift-invert Lanczos did not converge for {case}") from exc
         order = np.argsort(theta)[::-1]
         w, psi = sigma + 1.0 / theta[order], psi[:, order]
-        diagnostics["shift_invert_solves"] = solves
-    return Spectrum(
-        eigenvalues=w,
-        eigenvectors=psi if eigenvectors else None,
-        case=case,
-        grid=grid,
-        diagnostics=diagnostics,
-    )
+        diagnostics.update(solver="lanczos", sigma=sigma, sigma_lo=sigma, sigma_hi=upper)
+        diagnostics.update(shift_steps=steps, shift_invert_solves=solves)
+    return Spectrum(w, psi if eigenvectors else None, case, grid, diagnostics)
 
 
 def tracked_level(case: DimensionlessCase, grid: Grid) -> float:

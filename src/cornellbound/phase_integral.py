@@ -271,10 +271,12 @@ def quantize(case: DimensionlessCase) -> QuantizationResult:
             return None
 
     floor = x2_floor(case)
+    # deep Coulomb levels (x2 ~ 3.7/B) lie below 1e-6 once B > 4e6
+    start = min(1e-6, floor * (1.0 + 1e-9))
     cap = max(10.0, 3.0 * (case.s + 1.0) + case.B)
     bracket = None
     while bracket is None:
-        grid = np.geomspace(1e-6, cap, max(200, int(120 * math.log10(cap / 1e-6))))
+        grid = np.geomspace(start, cap, max(200, int(120 * math.log10(cap / 1e-6))))
         prev = None
         for x in grid[grid > floor]:  # below the floor x1 > x2: no level
             v = f(x)

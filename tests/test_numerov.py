@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import LinAlgError, cholesky_banded, eigh
+from scipy.linalg import cholesky_banded, eigh
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator
 
 from cornellbound import numerov
@@ -24,8 +25,9 @@ REF = dict(z_min=1e-5, z_max=20.0)
 
 
 def expected_solver(count: int, size: int) -> str:
-    """Dense exactly when ARPACK's default Krylov basis would span the space."""
-    return "dense" if min(size, max(2 * count + 1, 20)) == size else "lanczos"
+    """Dense when size^3 is at most the Lanczos cost for ARPACK's default Krylov basis."""
+    ncv = min(size, max(2 * count + 1, 20))
+    return "dense" if size**3 <= ncv * (numerov.LANCZOS_OVERHEAD + size * ncv) else "lanczos"
 
 
 class TestGrid:
@@ -150,15 +152,20 @@ class TestSpectrum:
             (5.0, 0, 64, 30),
             (5.0, 0, 64, 31),
             (2.0, 2, 300, 4),
+            (2.0, 2, 300, 69),
+            (2.0, 2, 300, 70),
             (2.0, 2, 300, 148),
             (2.0, 2, 300, 149),
             (10.0, 1, 600, 16),
+            (10.0, 1, 600, 242),
+            (10.0, 1, 600, 243),
             (10.0, 1, 600, 298),
             (10.0, 1, 600, 299),
         ],
     )
     def test_eigenvectors_solve_pencil_and_are_orthonormal(self, B, l, n, count):
-        # counts on both sides of the dense/Lanczos boundary, size <= 2 count + 1
+        # counts on both sides of the dense/Lanczos boundary (count 70 at size 299, 243 at
+        # size 599) and up to size <= 2 count + 1, where ARPACK's basis spans the space
         case = DimensionlessCase(B=B, l=l)
         g = Grid(**REF, n=n)
         spec = solve(case, g, count, eigenvectors=True)
@@ -171,13 +178,13 @@ class TestSpectrum:
         assert np.allclose(psi.T @ psi, np.eye(count), rtol=0, atol=1e-10)
 
     def test_shift_invert_solves_count_operator_applications(self, monkeypatch):
-        # one Cholesky solve per application of Bhat (K - sigma M)^{-1} Bhat
+        # one banded Cholesky solve per application of Bhat (K - sigma M)^{-1} Bhat
         calls = {"cholesky": 0, "operator": 0}
-        cho_solve_banded, eigsh = numerov.cho_solve_banded, numerov.eigsh
+        eigsh = numerov.eigsh
 
         def counting_solve(*args, **kwargs):
             calls["cholesky"] += 1
-            return cho_solve_banded(*args, **kwargs)
+            return dpbtrs(*args, **kwargs)
 
         def counting_eigsh(op, *args, **kwargs):
             def matvec(x):
@@ -186,7 +193,7 @@ class TestSpectrum:
 
             return eigsh(LinearOperator(op.shape, matvec=matvec, dtype=op.dtype), *args, **kwargs)
 
-        monkeypatch.setattr(numerov, "cho_solve_banded", counting_solve)
+        monkeypatch.setattr(numerov, "dpbtrs", counting_solve)
         monkeypatch.setattr(numerov, "eigsh", counting_eigsh)
         spec = solve(DimensionlessCase(B=2.0, l=0), Grid(**REF, n=512), 16)
         assert spec.diagnostics["solver"] == "lanczos"
@@ -212,18 +219,33 @@ class TestSpectrum:
         assert np.array_equal(first.eigenvalues, second.eigenvalues)
         assert np.array_equal(first.eigenvectors, second.eigenvectors)
 
-    @pytest.mark.parametrize("B,l,n,count", [(0.0, 0, 512, 4), (10.0, 0, 512, 16), (2.0, 1, 16, 15)])
+    @pytest.mark.parametrize("B,l,n,count", [(0.0, 0, 512, 4), (10.0, 0, 512, 16)])
     def test_certified_shift_below_lowest_level(self, B, l, n, count):
         case = DimensionlessCase(B=B, l=l)
         g = Grid(**REF, n=n)
         spec = solve(case, g, count)
         d = spec.diagnostics
         assert d["size"] == n - 1
-        assert d["solver"] == expected_solver(count, n - 1)
+        assert d["solver"] == "lanczos"
+        assert d["krylov_basis"] == max(2 * count + 1, 20)
         assert d["sigma"] == d["sigma_lo"]
         k, m = assemble(case, g).pencil_bands()
         cholesky_banded(k - d["sigma"] * m)  # raises unless K - sigma M is positive definite
         assert d["sigma_lo"] < spec.eigenvalues[0] <= d["sigma_hi"]
+
+    @pytest.mark.parametrize("B,l,n,count", [(2.0, 1, 16, 15), (10.0, 0, 128, 16), (2.0, 2, 300, 70)])
+    def test_dense_path_runs_no_banded_factorization(self, B, l, n, count, monkeypatch):
+        factorizations = []
+
+        def counting_factor(*args, **kwargs):
+            factorizations.append(args)
+            return dpbtrf(*args, **kwargs)
+
+        monkeypatch.setattr(numerov, "dpbtrf", counting_factor)
+        spec = solve(DimensionlessCase(B=B, l=l), Grid(**REF, n=n), count)
+        ncv = min(n - 1, max(2 * count + 1, 20))
+        assert spec.diagnostics == {"solver": "dense", "size": n - 1, "krylov_basis": ncv}
+        assert factorizations == []
 
     def test_solver_failures_raise_package_errors(self, monkeypatch):
         case = DimensionlessCase(B=2.0, l=1)
@@ -236,10 +258,10 @@ class TestSpectrum:
         with pytest.raises(NonConvergenceError):
             solve(case, g, 4)
 
-        def not_positive_definite(*args, **kwargs):
-            raise LinAlgError("forced")
+        def not_positive_definite(ab, *args, **kwargs):
+            return ab, 1  # LAPACK's info > 0: the leading minor of order 1 is not positive
 
-        monkeypatch.setattr(numerov, "cholesky_banded", not_positive_definite)
+        monkeypatch.setattr(numerov, "dpbtrf", not_positive_definite)
         with pytest.raises(NonConvergenceError):
             solve(case, g, 4)
 
@@ -277,6 +299,25 @@ def test_solve_matches_dense_symmetric_operator(B, l, n, frac):
     assert np.array_equal(spec.eigenvalues, solve(case, g, count).eigenvalues)
 
 
+# tracked levels of the 12 Table 1 rows on N = 8 ... 512, recorded from the
+# banded Lanczos engine before small meshes went to the dense pencil solve
+TABLE1_NS = (8, 16, 32, 64, 128, 256, 512)
+TABLE1_TRACKED = {
+    (0.0, 0): [2.8858023466197205, 2.3508729564301443, 2.3379962390556055, 2.3381032955833114, 2.3381164484165176, 2.3381173491590377, 2.338117406610392],
+    (0.0, 1): [3.203563052936439, 3.2472251408883324, 3.349915635228114, 3.3599495472760075, 3.361098251714288, 3.3612353991691633, 3.3612521568444405],
+    (0.0, 2): [3.8373586219401776, 4.236616990268877, 4.247147306536587, 4.248119762953373, 4.248178391435344, 4.248182016191064, 4.248182242103801],
+    (2.0, 0): [2.0887324578092734, 0.9096965449290162, 0.4648195054749837, 0.2860017873781423, 0.22191491269050256, 0.20227808787346635, 0.19683782691232787],
+    (2.0, 1): [2.4070765471362296, 1.9878977087455343, 2.1960293513762483, 2.2326445716562993, 2.2374514917144506, 2.238067557506426, 2.238145641254573],
+    (2.0, 2): [3.042710240643416, 3.4095485792668634, 3.4299574192921165, 3.4316301435699152, 3.4317336466115727, 3.4317400611911477, 3.431740461124615],
+    (5.0, 0): [0.8918989093506224, -1.3704228640288145, 1.1344683980710826, 0.7290000459675907, 0.5398834397404579, 0.46731842800000845, 0.44411026457271774],
+    (5.0, 1): [1.2107685251666847, -0.17805091471289827, -0.13661478170889238, 0.042614496076509946, 0.07580518752540918, 0.08047617998209108, 0.08109420866456173],
+    (5.0, 2): [1.847937916375794, 1.868530567898518, 2.0218466851563384, 2.0265675763358044, 2.026864617256287, 2.02688320886994, 2.0268843709470925],
+    (10.0, 0): [-1.1046693776904088, 0.045224157882324534, 1.0639679762837928, 0.302367101505272, -0.10720110384675507, -0.29941069699954426, -0.37280870783690645],
+    (10.0, 1): [-0.785349082066457, 0.37282926456567234, -0.942892338622343, -0.823139869154426, -0.6361108174882295, -0.6028401626854691, -0.5981898716525311],
+    (10.0, 2): [-0.14696221552895744, 1.0764784898130972, -0.9966791623592874, -0.945810178539194, -0.9436317652549496, -0.9434966418311512, -0.9434881307473785],
+}
+
+
 class TestGoldenValues:
     """Spot checks against the published mesh-refinement values (5 digits)."""
 
@@ -296,6 +337,12 @@ class TestGoldenValues:
     def test_tracked_reference_values(self, B, l, n, expected):
         a = tracked_level(DimensionlessCase(B=B, l=l), Grid(**REF, n=n))
         assert a == pytest.approx(expected, abs=6e-4)
+
+    @pytest.mark.parametrize("B,l", list(TABLE1_TRACKED))
+    def test_table1_tracked_levels_pinned(self, B, l):
+        case = DimensionlessCase(B=B, l=l)
+        values = [tracked_level(case, Grid(**REF, n=n)) for n in TABLE1_NS]
+        assert values == pytest.approx(TABLE1_TRACKED[(B, l)], rel=1e-12, abs=0)
 
     def test_tracked_vs_ground_differ_for_strong_coulomb(self):
         # deep Coulomb-collapsed levels sit far below the tracked one

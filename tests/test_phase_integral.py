@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import oracles
 from cornellbound import phase_integral as pi_mod
 from cornellbound import special
-from cornellbound.errors import DomainError, NonConvergenceError, NoValidRootError, OrderingError
+from cornellbound.errors import BracketError, DomainError, NonConvergenceError, NoValidRootError, OrderingError
 from cornellbound.model import DimensionlessCase, Q2_of_z, R_of_z
 from cornellbound.phase_integral import (
     A_from_x2,
@@ -494,6 +494,16 @@ class TestQuantizeScan:
             before = len(calls)
             quantize(case)
             assert len(calls) - before <= 2, case
+
+    @pytest.mark.parametrize("B", [1e7, 1e9])
+    def test_scan_brackets_levels_below_1e_6(self, B):
+        # the deep Coulomb level sits near x2 = 3.7/B, below the grid's old start at 1e-6
+        try:
+            quantize(DimensionlessCase(B=B, l=0, s=0, j=0))
+        except BracketError as exc:
+            assert "no quantization bracket found" not in str(exc)
+        except NoValidRootError:
+            pass  # the u0 stage still fails this close to the pole of sn
 
     @pytest.mark.parametrize("B,l,s,j,A,x2", PINNED_LEVELS)
     def test_pinned_levels(self, B, l, s, j, A, x2):
