@@ -306,8 +306,22 @@ def solve(case: DimensionlessCase, grid: Grid, count: int, eigenvectors: bool = 
 
 
 def tracked_level(case: DimensionlessCase, grid: Grid) -> float:
-    """Smallest-|A| level among the lowest `TRACKED_WINDOW` eigenvalues."""
-    return solve(case, grid, min(TRACKED_WINDOW, grid.n - 1)).tracked_value()
+    """Smallest-|A| level among the lowest `TRACKED_WINDOW` eigenvalues.
+
+    The levels ascend, so the smallest |A| in the window is the last negative
+    level or the first non-negative one: once the highest level solved is
+    >= 0, no later level is closer to zero and the solved prefix decides.
+    The solve starts at 2 levels (every count up to 9 gets ARPACK's minimum
+    basis, so 2 costs what 1 does) and doubles, capped at the window, while
+    its highest level is negative.
+    """
+    window = min(TRACKED_WINDOW, grid.n - 1)
+    count = 2
+    spectrum = solve(case, grid, count)
+    while spectrum.eigenvalues[-1] < 0.0 and count < window:
+        count = min(2 * count, window)
+        spectrum = solve(case, grid, count)
+    return spectrum.tracked_value()
 
 
 def convergence_table(case: DimensionlessCase, grids: list[Grid]) -> list[tuple[int, float]]:

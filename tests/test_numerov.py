@@ -1,5 +1,7 @@
 """Numerov discretization: assembly, spectrum properties, golden values."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -350,6 +352,47 @@ class TestGoldenValues:
         spec = solve(DimensionlessCase(B=10.0, l=0), g, 16)
         assert spec.eigenvalues[0] < -3.0
         assert abs(spec.tracked_value() - (-0.37306)) < 1e-3
+
+
+def tracked_counts(case: DimensionlessCase, grid: Grid) -> tuple[float, list[int]]:
+    """The tracked level and the level counts it asked `solve` for, in order."""
+    with mock.patch.object(numerov, "solve", wraps=solve) as spy:
+        value = tracked_level(case, grid)
+    return value, [call.args[2] for call in spy.call_args_list]
+
+
+@settings(max_examples=60, deadline=None)
+@given(B=st.floats(0.0, 200.0), l=st.integers(0, 3), n=st.integers(8, 600))
+@example(B=10.0, l=0, n=512)  # 3 negative levels: 2, then 4
+@example(B=100.0, l=0, n=512)  # every window level negative: 2, 4, 8, 16
+@example(B=200.0, l=0, n=8)  # window of 7: 2, 4, then the cap
+def test_tracked_level_matches_full_window(B, l, n):
+    """The solved prefix decides the smallest |A| of the whole window."""
+    case = DimensionlessCase(B=B, l=l)
+    g = Grid(**REF, n=n)
+    window = min(numerov.TRACKED_WINDOW, n - 1)
+    value, counts = tracked_counts(case, g)
+    full = solve(case, g, window).tracked_value()
+    assert abs(value - full) <= 1e-12 * max(1.0, abs(full))
+    assert counts[0] == 2 and max(counts) <= window
+    assert counts[1:] == [min(2 * c, window) for c in counts[:-1]]
+
+
+class TestTrackedCounts:
+    """How many levels `tracked_level` asks `solve` for."""
+
+    def test_row_with_no_negative_level_solves_two_per_mesh(self):
+        case = DimensionlessCase(B=2.0, l=0)
+        counts = [tracked_counts(case, Grid(**REF, n=n))[1] for n in TABLE1_NS]
+        assert counts == [[2]] * len(TABLE1_NS)
+
+    @pytest.mark.parametrize(
+        "B,n,expected",
+        [(10.0, 512, [2, 4]), (100.0, 512, [2, 4, 8, 16]), (200.0, 8, [2, 4, 7])],  # the last stops at the window
+    )
+    def test_count_doubles_while_the_top_level_is_negative(self, B, n, expected):
+        _, counts = tracked_counts(DimensionlessCase(B=B, l=0), Grid(**REF, n=n))
+        assert counts == expected
 
 
 class TestConvergenceTable:
