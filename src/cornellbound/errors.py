@@ -25,7 +25,7 @@ class OrderingError(CornellboundError, ValueError):
 
 
 class BracketError(CornellboundError, RuntimeError):
-    """Root bracketing failed: no sign change in the scanned range."""
+    """Root bracketing failed: no sign change from the bracket start, or the root misses its tolerance."""
 
 
 class NonConvergenceError(CornellboundError, RuntimeError):

@@ -21,7 +21,8 @@ and A = x2 - B/x2 + (l+1/2)^2/x2^2.
 
 The Langer potential A(x2) has its minimum at z*, the positive root of
 z^3 + B z - 2 (l+1/2)^2, where x1 = x2.  Below z* the zero x2 of -Q^2 is
-the inner one (x1 > x2), so no level lies there and the x2 scan starts at z*.
+the inner one (x1 > x2), so no level lies there.  Above it the phase sum
+starts at 0 and rises, so the root is bracketed by walking up from z*.
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ from .special import ellip_Pi  # noqa: F401  (benchmark traces wrap phase_integr
 C_TOL = 1e-8
 RESIDUAL_TOL = 1e-10
 DEGENERACY_TOL = 1e-10
+# ratio of consecutive x2 in the bracket walk: 120 steps per decade
+STEP = 10.0 ** (1.0 / 120.0)
 
 
 @dataclass(frozen=True)
@@ -252,51 +255,28 @@ def _phase_sum(x2: float, case: DimensionlessCase) -> float:
 def quantize(case: DimensionlessCase) -> QuantizationResult:
     """Solve the truncated quantization condition for the level of `case`.
 
-    Finds the x2 with L1 (+ L3 for j = 1) = (s + 1/2) pi by a geometric
-    bracket scan plus Brent refinement, then reconstructs A and verifies
-    the boundary-term base point.  The scan evaluates only grid points
-    above the floor x2_floor(case), where L1 rises from 0; at every point
-    below it x1 > x2.
+    Finds the x2 with L1 (+ L3 for j = 1) = (s + 1/2) pi by walking up
+    from just above the floor x2_floor(case), where the phase sum starts
+    at 0 and rises, in steps of STEP until it passes the target, then
+    refines the bracket by Brent's method.  It reconstructs A and verifies
+    the boundary-term base point.
     """
     target = (case.s + 0.5) * math.pi
 
     def phase_residual(x2: float) -> float:
         return _phase_sum(x2, case) - target
 
-    def f(x2: float) -> float | None:
-        """The scan's view of `phase_residual`: None where x2 admits no level."""
-        try:
-            return phase_residual(x2)
-        except (OrderingError, DomainError):
-            return None
+    lo = x2_floor(case) * (1.0 + 1e-6)
+    if not phase_residual(lo) < 0.0:
+        raise BracketError(f"phase sum not below the target at x2 = {lo}, just above the floor, for {case}")
+    hi = lo * STEP
+    while phase_residual(hi) < 0.0:
+        lo, hi = hi, hi * STEP
 
-    floor = x2_floor(case)
-    # deep Coulomb levels (x2 ~ 3.7/B) lie below 1e-6 once B > 4e6
-    start = min(1e-6, floor * (1.0 + 1e-9))
-    cap = max(10.0, 3.0 * (case.s + 1.0) + case.B)
-    bracket = None
-    while bracket is None:
-        grid = np.geomspace(start, cap, max(200, int(120 * math.log10(cap / 1e-6))))
-        prev = None
-        for x in grid[grid > floor]:  # below the floor x1 > x2: no level
-            v = f(x)
-            if v is None:
-                prev = None
-                continue
-            if prev is not None and prev[1] * v < 0.0:
-                bracket = (prev[0], x)
-                break
-            prev = (x, v)
-            if v > 0.0:
-                break  # phase sum is increasing; no need to scan further
-        if bracket is None:
-            if cap >= 1e6:
-                raise BracketError(f"no quantization bracket found for {case} up to x2 = {cap}")
-            cap *= 2.0
-
-    # both bracket ends are valid; an invalid point inside the bracket
-    # raises OrderingError/DomainError out of brentq
-    x2 = brentq(phase_residual, bracket[0], bracket[1], xtol=1e-14, rtol=4.0 * np.finfo(float).eps)
+    # xtol turns relative below x2 = 1, where deep Coulomb levels (x2 ~ 3.7/B)
+    # lie; an invalid point inside the bracket raises OrderingError/DomainError
+    # out of brentq
+    x2 = brentq(phase_residual, lo, hi, xtol=1e-14 * min(1.0, lo), rtol=4.0 * np.finfo(float).eps)
     residual = abs(phase_residual(x2))
     if residual > RESIDUAL_TOL:
         raise BracketError(f"quantization residual {residual} above {RESIDUAL_TOL}")

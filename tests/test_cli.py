@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 
 import pytest
 
@@ -138,6 +139,14 @@ class TestPhaseCommand:
         err = capsys.readouterr().err
         assert code == 2
         assert "FAILED" in err
+
+    def test_no_bracket_fails_cleanly(self, capsys, monkeypatch):
+        monkeypatch.setattr(phase_integral, "_phase_sum", lambda x2, case: (case.s + 0.5) * math.pi + 1.0)
+        code = run(["phase", "-B", "0", "-l", "0", "-s", "0"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "B=0 l=0 s=0  FAILED: phase sum not below the target" in err
+        assert "Traceback" not in err
 
 
     def test_extreme_coulomb_fails_cleanly(self, capsys):

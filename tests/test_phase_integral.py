@@ -11,7 +11,14 @@ from hypothesis import strategies as st
 import oracles
 from cornellbound import phase_integral as pi_mod
 from cornellbound import special
-from cornellbound.errors import BracketError, DomainError, NonConvergenceError, NoValidRootError, OrderingError
+from cornellbound.errors import (
+    BracketError,
+    CornellboundError,
+    DomainError,
+    NonConvergenceError,
+    NoValidRootError,
+    OrderingError,
+)
 from cornellbound.model import DimensionlessCase, Q2_of_z, R_of_z
 from cornellbound.phase_integral import (
     A_from_x2,
@@ -510,6 +517,44 @@ class TestQuantizeScan:
         res = quantize(DimensionlessCase(B=B, l=l, s=s, j=j))
         assert res.A == pytest.approx(A, rel=1e-15)
         assert res.x2 == pytest.approx(x2, rel=1e-15)
+
+
+class TestBracketWalk:
+    @given(
+        B=st.floats(0.0, 1e3),
+        l=st.integers(0, 10),
+        s=st.integers(0, 30),
+        j=st.sampled_from((0, 1)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_phase_sum_below_target_just_above_the_floor(self, B, l, s, j):
+        # the walk starts here and relies on the residual being negative
+        case = DimensionlessCase(B=B, l=l, s=s, j=j)
+        assert pi_mod._phase_sum(x2_floor(case) * (1.0 + 1e-6), case) < (s + 0.5) * math.pi
+
+    @pytest.mark.parametrize("j", [0, 1])
+    @pytest.mark.parametrize("B", [1e7, 1e8, 1e9])
+    def test_deep_coulomb_level_meets_the_residual_tolerance(self, monkeypatch, B, j):
+        # Brent's tolerance follows x2 ~ 3.7/B; the u0 stage still fails this
+        # close to the pole of sn, so it is stubbed out
+        monkeypatch.setattr(pi_mod, "solve_u0", lambda m, alpha2: (special.ComplexPoint(0.0), 0.0))
+        res = quantize(DimensionlessCase(B=B, l=0, s=0, j=j))
+        assert res.residual <= pi_mod.RESIDUAL_TOL
+        assert res.A == pytest.approx(-(B**2) / 4.0 + 3.0 / B, rel=1e-14)
+
+    @pytest.mark.parametrize("s", [0, 5])
+    @pytest.mark.parametrize("B", [0.0, 20.0])
+    @pytest.mark.parametrize("l", [30, 100, 1000])
+    def test_high_l_levels_far_above_the_floor(self, l, B, s):
+        # z* ~ (2 (l+1/2)^2)^(1/3) and the level lie well above x2 = 10
+        res = quantize(DimensionlessCase(B=B, l=l, s=s, j=0))
+        assert L1_quadrature(res.turning_points) == pytest.approx((s + 0.5) * math.pi, abs=1e-9)
+
+    def test_no_sign_change_raises_bracket_error(self, monkeypatch):
+        monkeypatch.setattr(pi_mod, "_phase_sum", lambda x2, case: (case.s + 0.5) * math.pi + 1.0)
+        with pytest.raises(CornellboundError) as info:
+            quantize(DimensionlessCase(B=2.0, l=1, s=0, j=0))
+        assert isinstance(info.value, BracketError)
 
 
 class TestChi0:
