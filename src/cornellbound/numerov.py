@@ -23,11 +23,13 @@ banded Cholesky `dpbtrf` as the test.  With U the last successful factor,
 
     x -> Bhat U^{-1} U^{-T} Bhat x = Bhat (K - sigma M)^{-1} Bhat x = (H - sigma)^{-1} x
 
-is symmetric positive definite and costs one `dpbtrs` solve, so a
-standard-mode Lanczos iteration (`eigsh`) finds its largest eigenvalues
-theta, the levels are A = sigma + 1/theta, and its eigenvectors are the
-orthonormal psi.  Small systems, where that costs more than O(n^3), take a
-dense solve of the (K, M) pencil instead, with no shift.
+is symmetric positive definite and costs one `dpbtrs` solve.  Its largest
+eigenvalues theta give the levels A = sigma + 1/theta, and its eigenvectors
+are the orthonormal psi.  The lowest level alone comes from inverse
+iteration with that operator: sigma lies within SHIFT_RTOL of it, so a few
+solves settle theta.  More levels come from a standard-mode Lanczos
+iteration (`eigsh`), or, for small systems where that costs more than
+O(n^3), from a dense solve of the (K, M) pencil with no shift.
 
 The dense matrices of the original pencil and of the symmetric operator
 (`kinetic_matrix`, `b_matrix`, `left_matrix`, `symmetric_operator`) and
@@ -40,6 +42,7 @@ name.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import eigh, solve_banded
@@ -53,6 +56,11 @@ from .model import DimensionlessCase, R_of_z
 #: the shift bisection stops once the bracket around the lowest level is
 #: narrower than this fraction of max(1, |upper end|)
 SHIFT_RTOL = 1e-2
+#: inverse iteration stops once theta = x^T (H - sigma)^{-1} x changes by at most
+#: this fraction of itself; at machine epsilon rounding noise keeps it from firing
+INVERSE_RTOL = 1e-14
+#: inverse iteration raises NonConvergenceError after this many solves
+INVERSE_MAX_SOLVES = 100
 #: fixed cost of 2 Lanczos operator applications (ARPACK's reverse communication,
 #: the Python operator, one banded solve) over a dense pencil solve's cost per n^3
 LANCZOS_OVERHEAD = 150_000
@@ -254,74 +262,132 @@ def _certified_shift(k: np.ndarray, m: np.ndarray, v: np.ndarray) -> tuple[float
     return lo, hi, factor, steps
 
 
-def solve(case: DimensionlessCase, grid: Grid, count: int, eigenvectors: bool = False) -> Spectrum:
-    """The `count` smallest dimensionless levels A on the given grid.
+class _Pencil:
+    """The banded pencil (K, M) of one mesh; its certified shift is found once, on first use."""
 
-    Lanczos costs about 2 ncv operator applications, ncv = min(n, max(2 count
-    + 1, 20)) being ARPACK's default Krylov basis, each a fixed call overhead
-    plus an orthogonalization against up to ncv vectors of length n.  In units
-    of the dense (K, M) solve's cost per n^3 that is about
-    ncv (LANCZOS_OVERHEAD + n ncv), so systems with n^3 at most that, all with
-    ncv = n among them, take the dense path: LAPACK's subset driver for the
-    lowest `count` levels, and no shift.  Others take standard-mode Lanczos
-    on (H - sigma)^{-1} = Bhat (K - sigma M)^{-1} Bhat from a certified
-    shift.  Eigenvectors are the orthonormal psi.  The
-    diagnostics hold the solver, the size and `krylov_basis` (ncv); Lanczos
-    adds `sigma`, the bracket (`sigma_lo`, `sigma_hi`] of the lowest level,
-    the bisection steps and the operator applications (one `dpbtrs` each).
-    """
-    system = assemble(case, grid)
+    def __init__(self, system: NumerovSystem):
+        self.system = system
+        self.k, self.m = system.pencil_bands()
+
+    @cached_property
+    def shift(self) -> tuple[float, float, np.ndarray, int]:
+        return _certified_shift(self.k, self.m, self.system.potential_values)
+
+    def shift_invert(self, x: np.ndarray) -> np.ndarray:
+        """(H - sigma)^{-1} x = Bhat (K - sigma M)^{-1} Bhat x: one `dpbtrs` solve."""
+        apply_b = self.system.apply_b
+        return apply_b(dpbtrs(self.shift[2], apply_b(x))[0])
+
+
+def _start_vector(n: int) -> np.ndarray:
+    # a fixed start vector makes repeated solves bitwise reproducible
+    return np.random.default_rng(0).standard_normal(n)
+
+
+def _lowest_level(pencil: _Pencil, eigenvectors: bool) -> tuple[np.ndarray, np.ndarray | None, dict]:
+    """The lowest level by inverse iteration x <- (H - sigma)^{-1} x from the certified shift."""
+    sigma, upper, _, steps = pencil.shift
+    x = _start_vector(pencil.system.size)
+    x /= np.linalg.norm(x)
+    theta = 0.0
+    for solves in range(1, INVERSE_MAX_SOLVES + 1):
+        y = pencil.shift_invert(x)
+        theta, previous = float(x @ y), theta
+        x = y / np.linalg.norm(y)
+        if abs(theta - previous) <= INVERSE_RTOL * theta:
+            break
+    else:
+        raise NonConvergenceError(f"inverse iteration did not settle in {INVERSE_MAX_SOLVES} solves")
+    diagnostics = {"solver": "inverse", "size": pencil.system.size, "sigma": sigma, "sigma_lo": sigma}
+    diagnostics.update(sigma_hi=upper, shift_steps=steps, shift_invert_solves=solves)
+    return np.array([sigma + 1.0 / theta]), x[:, None] if eigenvectors else None, diagnostics
+
+
+def _levels(pencil: _Pencil, count: int, eigenvectors: bool) -> tuple[np.ndarray, np.ndarray | None, dict]:
+    """Levels, eigenvectors (or None) and diagnostics of `solve`, on an assembled pencil."""
+    if count == 1:
+        return _lowest_level(pencil, eigenvectors)
+    system = pencil.system
     n = system.size
-    if not (1 <= count <= n):
-        raise DomainError(f"count must be between 1 and {n}")
-
-    k_bands, m_bands = system.pencil_bands()
     ncv = min(n, max(2 * count + 1, 20))
     diagnostics = {"solver": "dense", "size": n, "krylov_basis": ncv}
     if n**3 <= ncv * (LANCZOS_OVERHEAD + n * ncv):
-        pencil = _dense_symmetric(k_bands), _dense_symmetric(m_bands)
-        out = eigh(*pencil, subset_by_index=[0, count - 1], eigvals_only=not eigenvectors)
+        dense = _dense_symmetric(pencil.k), _dense_symmetric(pencil.m)
+        out = eigh(*dense, subset_by_index=[0, count - 1], eigvals_only=not eigenvectors)
         w, psi = (out[0], system.apply_b(out[1])) if eigenvectors else (out, None)
     else:
-        sigma, upper, factor, steps = _certified_shift(k_bands, m_bands, system.potential_values)
+        sigma, upper, _, steps = pencil.shift
         solves = 0
 
         def shift_invert(x):
             nonlocal solves
             solves += 1
-            return system.apply_b(dpbtrs(factor, system.apply_b(x))[0])
+            return pencil.shift_invert(x)
 
-        # a fixed start vector makes repeated solves bitwise reproducible
-        v0 = np.random.default_rng(0).standard_normal(n)
         try:
             op = LinearOperator((n, n), matvec=shift_invert, dtype=float)
-            theta, psi = eigsh(op, k=count, which="LA", v0=v0)
+            theta, psi = eigsh(op, k=count, which="LA", v0=_start_vector(n))
         except ArpackNoConvergence as exc:
-            raise NonConvergenceError(f"shift-invert Lanczos did not converge for {case}") from exc
+            raise NonConvergenceError("shift-invert Lanczos did not converge") from exc
         order = np.argsort(theta)[::-1]
         w, psi = sigma + 1.0 / theta[order], psi[:, order]
         diagnostics.update(solver="lanczos", sigma=sigma, sigma_lo=sigma, sigma_hi=upper)
         diagnostics.update(shift_steps=steps, shift_invert_solves=solves)
-    return Spectrum(w, psi if eigenvectors else None, case, grid, diagnostics)
+    return w, psi if eigenvectors else None, diagnostics
+
+
+def solve(case: DimensionlessCase, grid: Grid, count: int, eigenvectors: bool = False) -> Spectrum:
+    """The `count` smallest dimensionless levels A on the given grid.
+
+    One level is found by inverse iteration on (H - sigma)^{-1} from the
+    certified shift: sigma lies within SHIFT_RTOL of the lowest level and
+    every other level is farther off, so each `dpbtrs` solve shrinks the
+    error of theta = x^T (H - sigma)^{-1} x by the square of their distance
+    ratio, and it stops once theta changes by at most INVERSE_RTOL.
+    More levels: Lanczos costs about 2 ncv operator applications,
+    ncv = min(n, max(2 count + 1, 20)) being ARPACK's default Krylov basis,
+    each a fixed call overhead plus an orthogonalization against up to ncv
+    vectors of length n.  In units of the dense (K, M) solve's cost per n^3
+    that is about ncv (LANCZOS_OVERHEAD + n ncv), so systems with n^3 at most
+    that, all with ncv = n among them, take the dense path: LAPACK's subset
+    driver for the lowest `count` levels, and no shift.  Others take
+    standard-mode Lanczos on (H - sigma)^{-1} = Bhat (K - sigma M)^{-1} Bhat
+    from the certified shift.  Eigenvectors are the orthonormal psi.  The
+    diagnostics hold the solver (`inverse`, `dense` or `lanczos`) and the
+    size; the dense and Lanczos paths add `krylov_basis` (ncv), and the two
+    shifted ones add `sigma`, the bracket (`sigma_lo`, `sigma_hi`] of the
+    lowest level, the bisection steps and the operator applications (one
+    `dpbtrs` each).
+    """
+    pencil = _Pencil(assemble(case, grid))
+    n = pencil.system.size
+    if not (1 <= count <= n):
+        raise DomainError(f"count must be between 1 and {n}")
+    w, psi, diagnostics = _levels(pencil, count, eigenvectors)
+    return Spectrum(w, psi, case, grid, diagnostics)
 
 
 def tracked_level(case: DimensionlessCase, grid: Grid) -> float:
     """Smallest-|A| level among the lowest `TRACKED_WINDOW` eigenvalues.
 
-    The levels ascend, so the smallest |A| in the window is the last negative
-    level or the first non-negative one: once the highest level solved is
-    >= 0, no later level is closer to zero and the solved prefix decides.
-    The solve starts at 2 levels (every count up to 9 gets ARPACK's minimum
-    basis, so 2 costs what 1 does) and doubles, capped at the window, while
-    its highest level is negative.
+    The mesh is assembled once and every solve below reuses its pencil and
+    certified shift.  One `dpbtrf` of K is a Sylvester probe: K = Bhat H Bhat
+    is positive definite exactly when every level is positive, and then the
+    lowest level is the tracked one, found alone by inverse iteration.
+    Otherwise the levels ascend, so the smallest |A| in the window is the last
+    negative level or the first non-negative one: once the highest level
+    solved is >= 0, no later level is closer to zero and the solved prefix
+    decides.  The solve starts at 2 levels and doubles, capped at the window,
+    while its highest level is negative.
     """
+    pencil = _Pencil(assemble(case, grid))
     window = min(TRACKED_WINDOW, grid.n - 1)
-    count = 2
-    spectrum = solve(case, grid, count)
-    while spectrum.eigenvalues[-1] < 0.0 and count < window:
+    count = 1 if dpbtrf(pencil.k)[1] == 0 else 2
+    levels = _levels(pencil, count, False)[0]
+    while levels[-1] < 0.0 and count < window:
         count = min(2 * count, window)
-        spectrum = solve(case, grid, count)
-    return spectrum.tracked_value()
+        levels = _levels(pencil, count, False)[0]
+    return Spectrum(levels).tracked_value()
 
 
 def convergence_table(case: DimensionlessCase, grids: list[Grid]) -> list[tuple[int, float]]:

@@ -27,7 +27,10 @@ REF = dict(z_min=1e-5, z_max=20.0)
 
 
 def expected_solver(count: int, size: int) -> str:
-    """Dense when size^3 is at most the Lanczos cost for ARPACK's default Krylov basis."""
+    """Inverse iteration for one level; for more, dense when size^3 is at most the
+    Lanczos cost for ARPACK's default Krylov basis."""
+    if count == 1:
+        return "inverse"
     ncv = min(size, max(2 * count + 1, 20))
     return "dense" if size**3 <= ncv * (numerov.LANCZOS_OVERHEAD + size * ncv) else "lanczos"
 
@@ -221,15 +224,19 @@ class TestSpectrum:
         assert np.array_equal(first.eigenvalues, second.eigenvalues)
         assert np.array_equal(first.eigenvectors, second.eigenvectors)
 
-    @pytest.mark.parametrize("B,l,n,count", [(0.0, 0, 512, 4), (10.0, 0, 512, 16)])
+    @pytest.mark.parametrize("B,l,n,count", [(0.0, 0, 512, 4), (10.0, 0, 512, 16), (5.0, 2, 64, 1)])
     def test_certified_shift_below_lowest_level(self, B, l, n, count):
         case = DimensionlessCase(B=B, l=l)
         g = Grid(**REF, n=n)
         spec = solve(case, g, count)
         d = spec.diagnostics
         assert d["size"] == n - 1
-        assert d["solver"] == "lanczos"
-        assert d["krylov_basis"] == max(2 * count + 1, 20)
+        assert d["solver"] == expected_solver(count, n - 1)
+        if count == 1:
+            assert "krylov_basis" not in d
+        else:
+            assert d["krylov_basis"] == max(2 * count + 1, 20)
+        assert d["shift_steps"] > 0 and d["shift_invert_solves"] > 0
         assert d["sigma"] == d["sigma_lo"]
         k, m = assemble(case, g).pencil_bands()
         cholesky_banded(k - d["sigma"] * m)  # raises unless K - sigma M is positive definite
@@ -267,6 +274,29 @@ class TestSpectrum:
         with pytest.raises(NonConvergenceError):
             solve(case, g, 4)
 
+    @pytest.mark.parametrize("n", [8, 64, 512, 2000])
+    def test_one_level_runs_neither_eigsh_nor_eigh(self, n, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a one-level solve called a full eigensolver")
+
+        monkeypatch.setattr(numerov, "eigsh", forbidden)
+        monkeypatch.setattr(numerov, "eigh", forbidden)
+        spec = solve(DimensionlessCase(B=2.0, l=0), Grid(**REF, n=n), 1, eigenvectors=True)
+        assert spec.diagnostics["solver"] == "inverse"
+        assert spec.eigenvalues.shape == (1,) and spec.eigenvectors.shape == (n - 1, 1)
+
+    def test_inverse_iteration_that_never_settles_raises(self, monkeypatch):
+        # every other solve is scaled by 2, so theta = x^T (H - sigma)^{-1} x keeps jumping
+        scale = iter([1.0, 2.0] * numerov.INVERSE_MAX_SOLVES)
+
+        def unsettled_solve(*args, **kwargs):
+            x, info = dpbtrs(*args, **kwargs)
+            return next(scale) * x, info
+
+        monkeypatch.setattr(numerov, "dpbtrs", unsettled_solve)
+        with pytest.raises(NonConvergenceError):
+            solve(DimensionlessCase(B=5.0, l=2), Grid(**REF, n=64), 1)
+
     def test_count_validation(self):
         case = DimensionlessCase(B=0.0, l=0)
         with pytest.raises(DomainError):
@@ -299,6 +329,36 @@ def test_solve_matches_dense_symmetric_operator(B, l, n, frac):
     assert np.all(np.abs(spec.eigenvalues - ref) <= 1e-10 * np.maximum(1.0, np.abs(ref)))
     assert spec.diagnostics["solver"] == expected_solver(count, size)
     assert np.array_equal(spec.eigenvalues, solve(case, g, count).eigenvalues)
+
+
+@settings(max_examples=60, deadline=None)
+@given(B=st.floats(0.0, 1e3), l=st.integers(0, 6), n=st.integers(8, 600))
+@example(B=5.0, l=2, n=64)
+@example(B=1e3, l=0, n=8)
+@example(B=0.0, l=6, n=600)
+def test_one_level_by_inverse_iteration(B, l, n):
+    """One level equals the lowest of a two-level solve and of the dense symmetric operator;
+    its eigenvector solves the pencil and has unit norm."""
+    case = DimensionlessCase(B=B, l=l)
+    g = Grid(**REF, n=n)
+    spec = solve(case, g, 1, eigenvectors=True)
+    a, psi = float(spec.eigenvalues[0]), spec.eigenvectors[:, 0]
+    scale = max(1.0, abs(a))
+    assert spec.diagnostics["solver"] == "inverse"
+    assert abs(a - solve(case, g, 2).eigenvalues[0]) <= 1e-12 * scale
+    sys = assemble(case, g)
+    assert abs(a - eigh(sys.symmetric_operator(), eigvals_only=True, subset_by_index=[0, 0])[0]) <= 1e-10 * scale
+    assert sys.pencil_residual(a, psi) <= 1e-8 * scale
+    assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
+
+
+def test_one_level_by_inverse_iteration_on_the_default_grid():
+    case = DimensionlessCase(B=2.0, l=0)
+    g = Grid(numerov.DEFAULT_Z_MIN, numerov.DEFAULT_Z_MAX, numerov.DEFAULT_N)
+    spec = solve(case, g, 1)
+    a = float(spec.eigenvalues[0])
+    assert spec.diagnostics["solver"] == "inverse"
+    assert abs(a - solve(case, g, 2).eigenvalues[0]) <= 1e-12 * max(1.0, abs(a))
 
 
 # tracked levels of the 12 Table 1 rows on N = 8 ... 512, recorded from the
@@ -355,10 +415,15 @@ class TestGoldenValues:
 
 
 def tracked_counts(case: DimensionlessCase, grid: Grid) -> tuple[float, list[int]]:
-    """The tracked level and the level counts it asked `solve` for, in order."""
-    with mock.patch.object(numerov, "solve", wraps=solve) as spy:
+    """The tracked level and the level counts it solved its mesh's pencil for, in order."""
+    with mock.patch.object(numerov, "_levels", wraps=numerov._levels) as spy:
         value = tracked_level(case, grid)
-    return value, [call.args[2] for call in spy.call_args_list]
+    return value, [call.args[1] for call in spy.call_args_list]
+
+
+def k_positive_definite(case: DimensionlessCase, grid: Grid) -> bool:
+    """Whether K = Bhat H Bhat has a banded Cholesky factor."""
+    return dpbtrf(assemble(case, grid).pencil_bands()[0])[1] == 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -374,17 +439,24 @@ def test_tracked_level_matches_full_window(B, l, n):
     value, counts = tracked_counts(case, g)
     full = solve(case, g, window).tracked_value()
     assert abs(value - full) <= 1e-12 * max(1.0, abs(full))
-    assert counts[0] == 2 and max(counts) <= window
+    assert counts[0] == (1 if k_positive_definite(case, g) else 2) and max(counts) <= window
     assert counts[1:] == [min(2 * c, window) for c in counts[:-1]]
 
 
 class TestTrackedCounts:
     """How many levels `tracked_level` asks `solve` for."""
 
-    def test_row_with_no_negative_level_solves_two_per_mesh(self):
+    def test_row_with_no_negative_level_solves_one_per_mesh(self):
         case = DimensionlessCase(B=2.0, l=0)
         counts = [tracked_counts(case, Grid(**REF, n=n))[1] for n in TABLE1_NS]
-        assert counts == [[2]] * len(TABLE1_NS)
+        assert counts == [[1]] * len(TABLE1_NS)
+
+    @pytest.mark.parametrize("B,l", list(TABLE1_TRACKED))
+    def test_probe_factors_k_exactly_when_every_level_is_positive(self, B, l):
+        case = DimensionlessCase(B=B, l=l)
+        for n in TABLE1_NS:
+            g = Grid(**REF, n=n)
+            assert k_positive_definite(case, g) == (solve(case, g, 1).eigenvalues[0] > 0.0)
 
     @pytest.mark.parametrize(
         "B,n,expected",
