@@ -42,7 +42,7 @@ name.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg import eigh, solve_banded
@@ -279,9 +279,17 @@ class _Pencil:
         return apply_b(dpbtrs(self.shift[2], apply_b(x))[0])
 
 
+@lru_cache(maxsize=16)
+def _seeded_normal(n: int) -> np.ndarray:
+    out = np.random.default_rng(0).standard_normal(n)
+    out.flags.writeable = False
+    return out
+
+
 def _start_vector(n: int) -> np.ndarray:
-    # a fixed start vector makes repeated solves bitwise reproducible
-    return np.random.default_rng(0).standard_normal(n)
+    # a fixed start vector makes repeated solves bitwise reproducible; the
+    # caller owns the copy (inverse iteration normalizes it in place)
+    return _seeded_normal(n).copy()
 
 
 def _lowest_level(pencil: _Pencil, eigenvectors: bool) -> tuple[np.ndarray, np.ndarray | None, dict]:

@@ -22,22 +22,24 @@ and A = x2 - B/x2 + (l+1/2)^2/x2^2.
 The Langer potential A(x2) has its minimum at z*, the positive root of
 z^3 + B z - 2 (l+1/2)^2, where x1 = x2.  Below z* the zero x2 of -Q^2 is
 the inner one (x1 > x2), so no level lies there.  Above it the phase sum
-starts at 0 and rises, so the root is bracketed by walking up from z*.
+starts at 0 and rises, so the root is bracketed by walking up from z*, and
+Brent's method (`brentq`, a port of scipy's, so no scipy.optimize import)
+refines the last step from the residuals the walk already has.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import elliprd, elliprf, elliprj
 
 from . import special
-from .errors import BracketError, CornellboundError, DomainError, NoValidRootError, OrderingError
+from .errors import BracketError, CornellboundError, DomainError, NonConvergenceError, NoValidRootError, OrderingError
 from .model import DimensionlessCase, Q2_of_z, R_of_z
 from .special import ComplexPoint, ellip_E, ellip_K, jacobi_complex
 from .special import ellip_Pi  # noqa: F401  (benchmark traces wrap phase_integral.ellip_Pi by name)
@@ -48,6 +50,9 @@ RESIDUAL_TOL = 1e-10
 DEGENERACY_TOL = 1e-10
 # ratio of consecutive x2 in the bracket walk: 120 steps per decade
 STEP = 10.0 ** (1.0 / 120.0)
+# Brent's stopping tolerances: xtol = XTOL * min(1, lower bracket end), and rtol
+XTOL = 1e-14
+RTOL = 4.0 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -236,7 +241,7 @@ def L3_closed(tp: TurningPoints) -> float:
     """
     m, a2 = tp.m, tp.alpha2
     coeffs = L3_coefficients(m, a2)
-    return (coeffs.A_cal * ellip_E(m) + coeffs.B_cal * ellip_K(m)) / (12.0 * tp.d3 * m * a2)
+    return float((coeffs.A_cal * ellip_E(m) + coeffs.B_cal * ellip_K(m)) / (12.0 * tp.d3 * m * a2))
 
 
 def A_from_x2(x2: float, case: DimensionlessCase) -> float:
@@ -252,14 +257,71 @@ def _phase_sum(x2: float, case: DimensionlessCase) -> float:
     return total
 
 
+def brentq(f, a, b, xtol: float, rtol: float, *, f_a: float, f_b: float, maxiter: int = 100) -> tuple[float, float]:
+    """A root x of f between a and b by Brent's method, returned as (x, f(x)).
+
+    A line-for-line port of scipy's brentq.c (R. P. Brent, Algorithms for
+    Minimization without Derivatives, 1973, ch. 4), so it returns the same
+    root bit for bit, as a Python float.  The caller passes f_a = f(a) and
+    f_b = f(b), which must differ in sign, so f is evaluated only inside
+    the bracket.  The root is within xtol + rtol |x| of a sign change of f.
+    Raises BracketError for ends without a sign change and
+    NonConvergenceError after maxiter evaluations.
+    """
+    xpre, xcur, fpre, fcur = float(a), float(b), float(f_a), float(f_b)
+    if fpre == 0.0:
+        return xpre, fpre
+    if fcur == 0.0:
+        return xcur, fcur
+    if not (fpre < 0.0 < fcur or fcur < 0.0 < fpre):
+        raise BracketError(f"f({a}) = {fpre} and f({b}) = {fcur} do not differ in sign")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, fcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis  # bisect
+        else:
+            spre = scur = sbis  # bisect
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = float(f(xcur))
+    raise NonConvergenceError(f"Brent's method did not converge in {maxiter} evaluations on [{a}, {b}]")
+
+
 def quantize(case: DimensionlessCase) -> QuantizationResult:
     """Solve the truncated quantization condition for the level of `case`.
 
     Finds the x2 with L1 (+ L3 for j = 1) = (s + 1/2) pi by walking up
     from just above the floor x2_floor(case), where the phase sum starts
-    at 0 and rises, in steps of STEP until it passes the target, then
-    refines the bracket by Brent's method.  It reconstructs A and verifies
-    the boundary-term base point.
+    at 0 and rises, in steps of STEP until it passes the target.  `brentq`
+    then refines the last step from the residuals the walk found at its
+    ends and returns the residual at the root, so the phase sum is
+    evaluated once per x2.  It reconstructs A and verifies the
+    boundary-term base point.
     """
     target = (case.s + 0.5) * math.pi
 
@@ -267,17 +329,20 @@ def quantize(case: DimensionlessCase) -> QuantizationResult:
         return _phase_sum(x2, case) - target
 
     lo = x2_floor(case) * (1.0 + 1e-6)
-    if not phase_residual(lo) < 0.0:
+    f_lo = phase_residual(lo)
+    if not f_lo < 0.0:
         raise BracketError(f"phase sum not below the target at x2 = {lo}, just above the floor, for {case}")
     hi = lo * STEP
-    while phase_residual(hi) < 0.0:
-        lo, hi = hi, hi * STEP
+    f_hi = phase_residual(hi)
+    while f_hi < 0.0:
+        lo, f_lo, hi = hi, f_hi, hi * STEP
+        f_hi = phase_residual(hi)
 
     # xtol turns relative below x2 = 1, where deep Coulomb levels (x2 ~ 3.7/B)
     # lie; an invalid point inside the bracket raises OrderingError/DomainError
     # out of brentq
-    x2 = brentq(phase_residual, lo, hi, xtol=1e-14 * min(1.0, lo), rtol=4.0 * np.finfo(float).eps)
-    residual = abs(phase_residual(x2))
+    x2, f_x2 = brentq(phase_residual, lo, hi, xtol=XTOL * min(1.0, lo), rtol=RTOL, f_a=f_lo, f_b=f_hi)
+    residual = abs(f_x2)
     if residual > RESIDUAL_TOL:
         raise BracketError(f"quantization residual {residual} above {RESIDUAL_TOL}")
 

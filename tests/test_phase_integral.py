@@ -406,7 +406,7 @@ class TestQuantize:
 
     def test_ordering_error_inside_bracket_escapes(self, monkeypatch):
         # an x2 inside Brent's interval with no turning-point ordering must
-        # come out as OrderingError, not as a scipy TypeError on a None value
+        # come out as OrderingError
         real_brentq, real_tp = pi_mod.brentq, pi_mod.turning_points_from_x2
         interval = []
 
@@ -514,9 +514,38 @@ class TestQuantizeScan:
 
     @pytest.mark.parametrize("B,l,s,j,A,x2", PINNED_LEVELS)
     def test_pinned_levels(self, B, l, s, j, A, x2):
-        res = quantize(DimensionlessCase(B=B, l=l, s=s, j=j))
-        assert res.A == pytest.approx(A, rel=1e-15)
-        assert res.x2 == pytest.approx(x2, rel=1e-15)
+        # Brent stops within xtol + rtol |x2| of the root (xtol = XTOL here,
+        # since every pinned x2 exceeds 1), and A = A_from_x2 carries that
+        # through dA/dx2 = 1 + B/x2^2 - 2 nu^2/x2^3
+        case = DimensionlessCase(B=B, l=l, s=s, j=j)
+        res = quantize(case)
+        dx2 = pi_mod.XTOL + pi_mod.RTOL * x2
+        dA = abs(1.0 + B / x2**2 - 2.0 * case.nu**2 / x2**3) * dx2
+        assert res.x2 == pytest.approx(x2, rel=dx2 / x2, abs=0)
+        assert res.A == pytest.approx(A, rel=dA / abs(A), abs=0)
+
+
+def _recording_brentq(monkeypatch):
+    """Replace pi_mod.brentq by a wrapper that records each call and its result."""
+    real, calls = pi_mod.brentq, []
+
+    def brentq(f, a, b, xtol, rtol, **kwargs):
+        root, f_root = real(f, a, b, xtol, rtol, **kwargs)
+        calls.append(dict(f=f, a=a, b=b, xtol=xtol, rtol=rtol, root=root, f_root=f_root, **kwargs))
+        return root, f_root
+
+    monkeypatch.setattr(pi_mod, "brentq", brentq)
+    return calls
+
+
+def _assert_same_root_as_scipy(call):
+    from scipy.optimize import brentq as scipy_brentq
+
+    f, a, b = call["f"], call["a"], call["b"]
+    assert call["f_a"] == f(a) and call["f_b"] == f(b)
+    expected = scipy_brentq(f, a, b, xtol=call["xtol"], rtol=call["rtol"])
+    assert call["root"] == expected  # bitwise, not approximately
+    assert call["f_root"] == f(expected)
 
 
 class TestBracketWalk:
@@ -538,9 +567,12 @@ class TestBracketWalk:
         # Brent's tolerance follows x2 ~ 3.7/B; the u0 stage still fails this
         # close to the pole of sn, so it is stubbed out
         monkeypatch.setattr(pi_mod, "solve_u0", lambda m, alpha2: (special.ComplexPoint(0.0), 0.0))
+        calls = _recording_brentq(monkeypatch)
         res = quantize(DimensionlessCase(B=B, l=0, s=0, j=j))
         assert res.residual <= pi_mod.RESIDUAL_TOL
         assert res.A == pytest.approx(-(B**2) / 4.0 + 3.0 / B, rel=1e-14)
+        assert res.x2 < 1.0 and len(calls) == 1
+        _assert_same_root_as_scipy(calls[0])
 
     @pytest.mark.parametrize("s", [0, 5])
     @pytest.mark.parametrize("B", [0.0, 20.0])
@@ -555,6 +587,92 @@ class TestBracketWalk:
         with pytest.raises(CornellboundError) as info:
             quantize(DimensionlessCase(B=2.0, l=1, s=0, j=0))
         assert isinstance(info.value, BracketError)
+
+
+class TestBrent:
+    """The in-module brentq against scipy.optimize.brentq, which it ports."""
+
+    @given(
+        B=st.floats(0.0, 1e3),
+        l=st.integers(0, 10),
+        s=st.integers(0, 30),
+        j=st.sampled_from((0, 1)),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_quantize_root_equals_scipy(self, B, l, s, j):
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _recording_brentq(mp)
+            try:
+                quantize(DimensionlessCase(B=B, l=l, s=s, j=j))
+            except NoValidRootError:
+                pass  # the u0 stage fails from B ~ 1e3 at l = 0; the root came first
+        assert len(calls) == 1
+        _assert_same_root_as_scipy(calls[0])
+
+    def test_each_x2_evaluated_once(self, monkeypatch):
+        real = pi_mod._phase_sum
+        seen = []
+
+        def counted(x2, case):
+            seen.append(x2)
+            return real(x2, case)
+
+        monkeypatch.setattr(pi_mod, "_phase_sum", counted)
+        cases = [DimensionlessCase(B=2.0, l=1, s=s, j=j) for s in range(21) for j in (0, 1)]
+        cases += [DimensionlessCase(B=B, l=l, s=0, j=j) for B, l, _ in TABLE2_J0 for j in (0, 1)]
+        for case in cases:
+            seen.clear()
+            res = quantize(case)
+            assert len(seen) == len(set(seen)), case
+            assert res.x2 in seen
+
+    @pytest.mark.parametrize(
+        "f, a, b",
+        [
+            (lambda x: math.tanh(20.0 * (x - 0.3)), 0.0, 1.0),
+            (lambda x: x**9 - 0.1, 0.0, 1.5),
+            (lambda x: math.cos(x) - x, 0.0, 1.0),
+            (lambda x: math.exp(x) - 2.0, -4.0, 10.0),
+            (lambda x: math.copysign(abs(x - 0.7) ** (1.0 / 3.0), x - 0.7), 0.0, 3.0),
+            (lambda x: x * math.exp(-x) - 0.1, 0.0, 1.0),
+            (lambda x: 1.0 / (x - 0.5) - 3.0, 0.51, 4.0),
+        ],
+    )
+    @pytest.mark.parametrize("xtol", [1e-14, 1e-6])
+    def test_same_iterates_as_scipy(self, f, a, b, xtol):
+        from scipy.optimize import brentq as scipy_brentq
+
+        iterates = []
+
+        def logged(x):
+            iterates.append(x)
+            return f(x)
+
+        expected = scipy_brentq(logged, a, b, xtol=xtol, rtol=pi_mod.RTOL)
+        scipy_iterates, iterates[:] = iterates[2:], []  # scipy evaluates both ends first
+        root, f_root = pi_mod.brentq(logged, a, b, xtol, pi_mod.RTOL, f_a=f(a), f_b=f(b))
+        assert (root, f_root) == (expected, f(expected))
+        assert iterates == scipy_iterates
+
+    def test_zero_at_an_end_returns_that_end(self):
+        def f(x):
+            raise AssertionError("no evaluation needed")
+
+        assert pi_mod.brentq(f, 1.0, 2.0, 1e-14, pi_mod.RTOL, f_a=0.0, f_b=1.0) == (1.0, 0.0)
+        assert pi_mod.brentq(f, 1.0, 2.0, 1e-14, pi_mod.RTOL, f_a=-1.0, f_b=0.0) == (2.0, 0.0)
+
+    @pytest.mark.parametrize("f_a, f_b", [(1.0, 2.0), (-1.0, -2.0), (math.nan, 1.0)])
+    def test_ends_without_sign_change_raise_bracket_error(self, f_a, f_b):
+        with pytest.raises(BracketError, match="do not differ in sign"):
+            pi_mod.brentq(lambda x: x, 1.0, 2.0, 1e-14, pi_mod.RTOL, f_a=f_a, f_b=f_b)
+
+    def test_maxiter_raises_nonconvergence_error(self):
+        def f(x):
+            return math.tanh(20.0 * (x - 0.3))
+
+        assert pi_mod.brentq(f, 0.0, 1.0, 1e-14, pi_mod.RTOL, f_a=f(0.0), f_b=f(1.0))[0] == pytest.approx(0.3)
+        with pytest.raises(NonConvergenceError, match="did not converge in 3 evaluations"):
+            pi_mod.brentq(f, 0.0, 1.0, 1e-14, pi_mod.RTOL, f_a=f(0.0), f_b=f(1.0), maxiter=3)
 
 
 class TestChi0:
