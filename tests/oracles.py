@@ -6,7 +6,9 @@ the complex Jacobi values from mpmath's theta-function based ellipfun, the
 real Jacobi triple straight from scipy's ellipj (the library itself needs
 only complex argument), the Airy zero from a Maclaurin series plus
 bisection, and the contour integral for the third-order correction from
-Gauss-Legendre panels on an explicit straight path.
+Gauss-Legendre panels on an explicit straight path.  Numerov levels come
+as exact rational Rayleigh quotients of the stored banded pencil at the
+eigenvectors of a dense symmetric solve.
 
 The reference routines at the end (L1 by quadrature, the Jacobi epsilon
 function, the Z antiderivatives and the partial fractions of the L3
@@ -17,10 +19,12 @@ functions, but not on the closed forms of L1 and L3 that they check.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 from scipy.integrate import quad
+from scipy.linalg import eigh, solve_banded
 from scipy.special import ellipe, ellipeinc, ellipj, ellipk
 
 from cornellbound.errors import DomainError, SingularPointError
@@ -249,3 +253,44 @@ def z_integrals(u, m: float) -> tuple[complex, complex, complex]:
     z2 = dn * sn / cn / (1.0 - m) + u - eps / (1.0 - m)
     z3 = -m / (1.0 - m) * cn * sn / dn + eps / (1.0 - m)
     return z1, z2, z3
+
+
+def banded_quadratic_form(bands: np.ndarray, x: np.ndarray) -> Fraction:
+    """x^T S x in exact rational arithmetic, for S symmetric in upper banded storage.
+
+    `bands` has the layout of `NumerovSystem.pencil_bands`: row -1 the
+    diagonal, row -1 - d the d-th superdiagonal (its leading d entries
+    unused).  Every float converts to a Fraction exactly, so nothing rounds.
+    """
+    xs = [Fraction(float(t)) for t in x]
+    total = sum((Fraction(float(s)) * t * t for s, t in zip(bands[-1], xs)), Fraction(0))
+    for d in range(1, bands.shape[0]):
+        row = bands[-1 - d]
+        total += 2 * sum((Fraction(float(row[i])) * xs[i - d] * xs[i] for i in range(d, len(xs))), Fraction(0))
+    return total
+
+
+def pencil_levels_exact(system, indices) -> list[tuple[float, float]]:
+    """Levels `indices` (0-based, ascending) of the stored banded pencil (K, M), as exact
+    Rayleigh quotients, each with its rounding floor.
+
+    chi comes from a dense `eigh` of `symmetric_operator()` (psi) and a
+    banded solve chi = Bhat^{-1} psi; the quotient chi^T K chi / chi^T M chi
+    of the stored bands is then taken without rounding, so its error is
+    second order in the eigenvector's and it is independent of every
+    eigensolver path in `numerov`.  The floor eps chi^T |K| chi / chi^T M chi
+    is how far rounding each entry of K once moves the level, so no float
+    evaluation of the pencil is held to less.
+    """
+    _, psi = eigh(system.symmetric_operator(), subset_by_index=[0, max(indices)])
+    n = system.size
+    bhat = np.zeros((3, n))
+    bhat[0, 1:], bhat[1], bhat[2, :-1] = system.b_off, system.b_main, system.b_off
+    k, m = system.pencil_bands()
+    out = []
+    for i in indices:
+        chi = solve_banded((1, 1), bhat, psi[:, i])
+        mass = banded_quadratic_form(m, chi)
+        floor = np.finfo(float).eps * float(banded_quadratic_form(np.abs(k), np.abs(chi)) / mass)
+        out.append((float(banded_quadratic_form(k, chi) / mass), floor))
+    return out

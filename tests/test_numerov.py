@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import cholesky_banded, eigh
-from scipy.linalg.lapack import dpbtrf, dpbtrs
+from oracles import pencil_levels_exact
+from scipy.linalg import cholesky_banded, cython_lapack, eigh
+from scipy.linalg.lapack import dgttrf, dpbtrf, dpbtrs, dstebz
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator
 
 from cornellbound import numerov
@@ -27,12 +28,13 @@ REF = dict(z_min=1e-5, z_max=20.0)
 
 
 def expected_solver(count: int, size: int) -> str:
-    """Inverse iteration for one level; for more, dense when size^3 is at most the
-    Lanczos cost for ARPACK's default Krylov basis."""
+    """Inverse iteration for one level; for more, the tridiagonal form on small systems
+    and for many levels, else Lanczos."""
     if count == 1:
         return "inverse"
-    ncv = min(size, max(2 * count + 1, 20))
-    return "dense" if size**3 <= ncv * (numerov.LANCZOS_OVERHEAD + size * ncv) else "lanczos"
+    if size <= numerov.TRIDIAGONAL_MAX_SIZE or count >= numerov.TRIDIAGONAL_MIN_COUNT:
+        return "tridiagonal"
+    return "lanczos"
 
 
 class TestGrid:
@@ -156,21 +158,21 @@ class TestSpectrum:
             (5.0, 0, 64, 4),
             (5.0, 0, 64, 30),
             (5.0, 0, 64, 31),
-            (2.0, 2, 300, 4),
-            (2.0, 2, 300, 69),
-            (2.0, 2, 300, 70),
-            (2.0, 2, 300, 148),
+            (2.0, 2, 256, 4),
+            (2.0, 2, 258, 4),
+            (2.0, 2, 300, 127),
+            (2.0, 2, 300, 128),
             (2.0, 2, 300, 149),
             (10.0, 1, 600, 16),
-            (10.0, 1, 600, 242),
-            (10.0, 1, 600, 243),
+            (10.0, 1, 600, 127),
+            (10.0, 1, 600, 128),
             (10.0, 1, 600, 298),
             (10.0, 1, 600, 299),
         ],
     )
     def test_eigenvectors_solve_pencil_and_are_orthonormal(self, B, l, n, count):
-        # counts on both sides of the dense/Lanczos boundary (count 70 at size 299, 243 at
-        # size 599) and up to size <= 2 count + 1, where ARPACK's basis spans the space
+        # both sides of the size threshold (255 and 257 nodes) and of the count threshold
+        # (127 and 128 levels), and up to size <= 2 count + 1, where ARPACK's basis spans the space
         case = DimensionlessCase(B=B, l=l)
         g = Grid(**REF, n=n)
         spec = solve(case, g, count, eigenvectors=True)
@@ -242,23 +244,27 @@ class TestSpectrum:
         cholesky_banded(k - d["sigma"] * m)  # raises unless K - sigma M is positive definite
         assert d["sigma_lo"] < spec.eigenvalues[0] <= d["sigma_hi"]
 
-    @pytest.mark.parametrize("B,l,n,count", [(2.0, 1, 16, 15), (10.0, 0, 128, 16), (2.0, 2, 300, 70)])
-    def test_dense_path_runs_no_banded_factorization(self, B, l, n, count, monkeypatch):
+    @pytest.mark.parametrize("B,l,n,count", [(2.0, 1, 16, 15), (10.0, 0, 128, 16), (10.0, 0, 256, 2), (2.0, 2, 300, 149)])
+    def test_tridiagonal_path_runs_no_cholesky_and_no_full_eigensolver(self, B, l, n, count, monkeypatch):
         factorizations = []
 
         def counting_factor(*args, **kwargs):
             factorizations.append(args)
             return dpbtrf(*args, **kwargs)
 
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the tridiagonal path called a full eigensolver")
+
         monkeypatch.setattr(numerov, "dpbtrf", counting_factor)
+        monkeypatch.setattr(numerov, "eigsh", forbidden)
+        monkeypatch.setattr(numerov, "eigh", forbidden)
         spec = solve(DimensionlessCase(B=B, l=l), Grid(**REF, n=n), count)
-        ncv = min(n - 1, max(2 * count + 1, 20))
-        assert spec.diagnostics == {"solver": "dense", "size": n - 1, "krylov_basis": ncv}
+        assert spec.diagnostics == {"solver": "tridiagonal", "size": n - 1}
         assert factorizations == []
 
     def test_solver_failures_raise_package_errors(self, monkeypatch):
         case = DimensionlessCase(B=2.0, l=1)
-        g = Grid(**REF, n=256)
+        g = Grid(**REF, n=512)
 
         def no_convergence(*args, **kwargs):
             raise ArpackNoConvergence("forced", np.empty(0), np.empty((0, 0)))
@@ -273,6 +279,50 @@ class TestSpectrum:
         monkeypatch.setattr(numerov, "dpbtrf", not_positive_definite)
         with pytest.raises(NonConvergenceError):
             solve(case, g, 4)
+
+    @pytest.mark.parametrize(
+        "routine,failing",
+        [
+            ("dpbstf", lambda bb: 1),
+            ("dsbgst", lambda ab, bb: 2),
+            ("dsbtrd", lambda ab, dsbtrd=numerov.dsbtrd: (*dsbtrd(ab)[:2], -5)),
+            ("dstebz", lambda *args: (*dstebz(*args)[:4], 1)),
+            ("dgttrf", lambda *args: (*dgttrf(*args)[:5], -3)),
+        ],
+    )
+    def test_tridiagonal_lapack_failures_raise_package_errors(self, routine, failing, monkeypatch):
+        # a nonzero LAPACK info from any step of the reduction or the bisection, a negative one from the polish
+        monkeypatch.setattr(numerov, routine, failing)
+        with pytest.raises(NonConvergenceError, match=routine):
+            solve(DimensionlessCase(B=2.0, l=1), Grid(**REF, n=64), 4)
+        with pytest.raises(NonConvergenceError, match=routine):
+            tracked_level(DimensionlessCase(B=10.0, l=0), Grid(**REF, n=64))
+
+    def test_polish_through_an_exact_zero_pivot(self, monkeypatch):
+        # the bisected top level is a level of T to working precision: dgttrf reports U(n, n) = 0
+        infos = []
+
+        def spy(*args):
+            out = dgttrf(*args)
+            infos.append(out[-1])
+            return out
+
+        monkeypatch.setattr(numerov, "dgttrf", spy)
+        case, g = DimensionlessCase(B=19.755906026997184, l=1), Grid(**REF, n=67)
+        spec = solve(case, g, 66, eigenvectors=True)
+        assert 66 in infos
+        w, psi = spec.eigenvalues, spec.eigenvectors
+        sys = assemble(case, g)
+        assert sys.pencil_residual(float(w[-1]), psi[:, -1]) <= 1e-8 * abs(w[-1])
+        assert np.allclose(psi.T @ psi, np.eye(66), rtol=0, atol=1e-12)
+
+    def test_band_bindings_take_only_fortran_float_bands(self):
+        _, m = assemble(DimensionlessCase(B=2.0, l=0), Grid(**REF, n=16)).pencil_bands()
+        for bad in (m, np.asfortranarray(m, dtype=np.float32), np.asfortranarray(m[1:])):
+            with pytest.raises(ValueError):
+                numerov.dpbstf(bad)
+        assert numerov.dpbstf(np.asfortranarray(m)) == 0
+        assert numerov.dpbstf(np.asfortranarray(-m)) > 0  # not positive definite
 
     @pytest.mark.parametrize("n", [8, 64, 512, 2000])
     def test_one_level_runs_neither_eigsh_nor_eigh(self, n, monkeypatch):
@@ -312,11 +362,12 @@ class TestSpectrum:
     n=st.integers(8, 600),
     frac=st.floats(0.0, 1.0),
 )
-@example(B=0.0, l=0, n=8, frac=1.0)  # every level requested: the dense pencil solve
+@example(B=0.0, l=0, n=8, frac=1.0)  # every level requested: the tridiagonal form
 @example(B=3.0, l=2, n=16, frac=1.0)
 @example(B=10.0, l=0, n=512, frac=15 / 510)  # Coulomb-collapsed row of the mesh table
 @example(B=10.0, l=0, n=8, frac=1.0)
-@example(B=3.0, l=2, n=600, frac=597 / 598)  # count 598 of 599: dense, ARPACK would need ncv = size
+@example(B=3.0, l=2, n=600, frac=597 / 598)  # count 598 of 599: tridiagonal, ARPACK would need ncv = size
+@example(B=19.755906026997184, l=1, n=67, frac=1.0)  # the top level's shift leaves dgttrf an exact zero pivot
 def test_solve_matches_dense_symmetric_operator(B, l, n, frac):
     """The lowest `count` levels equal those of a dense eigh of -Bhat^-1 Ahat + V."""
     size = n - 1
@@ -414,11 +465,37 @@ class TestGoldenValues:
         assert abs(spec.tracked_value() - (-0.37306)) < 1e-3
 
 
-def tracked_counts(case: DimensionlessCase, grid: Grid) -> tuple[float, list[int]]:
-    """The tracked level and the level counts it solved its mesh's pencil for, in order."""
-    with mock.patch.object(numerov, "_levels", wraps=numerov._levels) as spy:
+def tracked_calls(case: DimensionlessCase, grid: Grid) -> tuple[float, dict]:
+    """The tracked level and how `tracked_level` solved its mesh's pencil, in order:
+    inverse iterations, Lanczos level counts, Sturm counts and bisected index ranges."""
+    calls = {"inverse": 0, "lanczos": [], "sturm": [], "bisect": []}
+    lowest, lanczos = numerov._lowest_level, numerov._lanczos_levels
+    sturm, bisect = numerov._Pencil.count_nonpositive, numerov._Pencil.bisect
+
+    def spy_lowest(pencil, eigenvectors):
+        calls["inverse"] += 1
+        return lowest(pencil, eigenvectors)
+
+    def spy_lanczos(pencil, count, eigenvectors):
+        calls["lanczos"].append(count)
+        return lanczos(pencil, count, eigenvectors)
+
+    def spy_sturm(pencil):
+        calls["sturm"].append(sturm(pencil))
+        return calls["sturm"][-1]
+
+    def spy_bisect(pencil, first, last):
+        calls["bisect"].append((first, last))
+        return bisect(pencil, first, last)
+
+    with (
+        mock.patch.object(numerov, "_lowest_level", spy_lowest),
+        mock.patch.object(numerov, "_lanczos_levels", spy_lanczos),
+        mock.patch.object(numerov._Pencil, "count_nonpositive", spy_sturm),
+        mock.patch.object(numerov._Pencil, "bisect", spy_bisect),
+    ):
         value = tracked_level(case, grid)
-    return value, [call.args[1] for call in spy.call_args_list]
+    return value, calls
 
 
 def k_positive_definite(case: DimensionlessCase, grid: Grid) -> bool:
@@ -426,30 +503,63 @@ def k_positive_definite(case: DimensionlessCase, grid: Grid) -> bool:
     return dpbtrf(assemble(case, grid).pencil_bands()[0])[1] == 0
 
 
+def window_levels(case: DimensionlessCase, grid: Grid) -> np.ndarray:
+    """The lowest `TRACKED_WINDOW` levels of a dense eigh of the symmetric operator."""
+    window = min(numerov.TRACKED_WINDOW, grid.n - 1)
+    return eigh(assemble(case, grid).symmetric_operator(), eigvals_only=True, subset_by_index=[0, window - 1])
+
+
 @settings(max_examples=60, deadline=None)
 @given(B=st.floats(0.0, 200.0), l=st.integers(0, 3), n=st.integers(8, 600))
-@example(B=10.0, l=0, n=512)  # 3 negative levels: 2, then 4
-@example(B=100.0, l=0, n=512)  # every window level negative: 2, 4, 8, 16
-@example(B=200.0, l=0, n=8)  # window of 7: 2, 4, then the cap
+@example(B=10.0, l=0, n=512)  # 3 negative levels, Lanczos: 2, then 4
+@example(B=100.0, l=0, n=512)  # every window level negative, Lanczos: 2, 4, 8, 16
+@example(B=10.0, l=0, n=256)  # 3 negative levels, tridiagonal: levels 3 and 4
+@example(B=200.0, l=0, n=8)  # window of 7, 5 negative: levels 5 and 6
+@example(B=500.0, l=0, n=16)  # window of 15, all negative: level 15 alone
+@example(B=103.4, l=0, n=283)  # a full-window Lanczos solve is 1.6e-12 off here
 def test_tracked_level_matches_full_window(B, l, n):
-    """The solved prefix decides the smallest |A| of the whole window."""
+    """The tracked level is the exact smallest-|A| level of the stored pencil's window;
+    the solves that decide it follow the probe, the Sturm count or the doubling."""
     case = DimensionlessCase(B=B, l=l)
     g = Grid(**REF, n=n)
     window = min(numerov.TRACKED_WINDOW, n - 1)
-    value, counts = tracked_counts(case, g)
-    full = solve(case, g, window).tracked_value()
-    assert abs(value - full) <= 1e-12 * max(1.0, abs(full))
-    assert counts[0] == (1 if k_positive_definite(case, g) else 2) and max(counts) <= window
-    assert counts[1:] == [min(2 * c, window) for c in counts[:-1]]
+    value, calls = tracked_calls(case, g)
+    w = window_levels(case, g)
+    exact, _ = pencil_levels_exact(assemble(case, g), [int(np.argmin(np.abs(w)))])[0]
+    assert abs(value - exact) <= 1e-12 * max(1.0, abs(exact))
+    if k_positive_definite(case, g):
+        assert calls == {"inverse": 1, "lanczos": [], "sturm": [], "bisect": []}
+    elif n - 1 <= numerov.TRIDIAGONAL_MAX_SIZE:
+        m = calls["sturm"][0]
+        assert calls == {"inverse": 0, "lanczos": [], "sturm": [m], "bisect": [(max(1, min(m, window)), min(m + 1, window))]}
+    else:
+        counts = calls["lanczos"]
+        assert calls["inverse"] == 0 and calls["sturm"] == calls["bisect"] == []
+        assert counts[0] == 2 and max(counts) <= window
+        assert counts[1:] == [min(2 * c, window) for c in counts[:-1]]
+
+
+@settings(max_examples=25, deadline=None)
+@given(B=st.floats(0.0, 200.0), l=st.integers(0, 3), n=st.integers(8, 600))
+@example(B=103.4, l=0, n=283)  # a full-window Lanczos solve is 1.5e-12 off here
+@example(B=152.32177498888973, l=1, n=553)  # the rounding floor is 8.1e-12 here
+def test_tracked_level_on_a_short_domain_is_within_the_rounding_floor(B, l, n):
+    """On [1e-3, 5] fine meshes have 1/delta^2 up to 1.4e4, and rounding the
+    stored entries alone can move a level by more than 1e-12."""
+    case = DimensionlessCase(B=B, l=l)
+    g = Grid(1e-3, 5.0, n)
+    w = window_levels(case, g)
+    exact, floor = pencil_levels_exact(assemble(case, g), [int(np.argmin(np.abs(w)))])[0]
+    assert abs(tracked_level(case, g) - exact) <= max(1e-12 * max(1.0, abs(exact)), floor)
 
 
 class TestTrackedCounts:
-    """How many levels `tracked_level` asks `solve` for."""
+    """How `tracked_level` solves each mesh."""
 
     def test_row_with_no_negative_level_solves_one_per_mesh(self):
         case = DimensionlessCase(B=2.0, l=0)
-        counts = [tracked_counts(case, Grid(**REF, n=n))[1] for n in TABLE1_NS]
-        assert counts == [[1]] * len(TABLE1_NS)
+        calls = [tracked_calls(case, Grid(**REF, n=n))[1] for n in TABLE1_NS]
+        assert calls == [{"inverse": 1, "lanczos": [], "sturm": [], "bisect": []}] * len(TABLE1_NS)
 
     @pytest.mark.parametrize("B,l", list(TABLE1_TRACKED))
     def test_probe_factors_k_exactly_when_every_level_is_positive(self, B, l):
@@ -458,13 +568,45 @@ class TestTrackedCounts:
             g = Grid(**REF, n=n)
             assert k_positive_definite(case, g) == (solve(case, g, 1).eigenvalues[0] > 0.0)
 
+    @pytest.mark.parametrize("B,l", list(TABLE1_TRACKED))
+    def test_sturm_count_is_the_number_of_negative_levels(self, B, l, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a small tracked mesh called a full eigensolver")
+
+        case = DimensionlessCase(B=B, l=l)
+        small = [g for g in (Grid(**REF, n=n) for n in TABLE1_NS) if g.n - 1 <= numerov.TRIDIAGONAL_MAX_SIZE]
+        negative = [int(np.sum(window_levels(case, g) < 0.0)) for g in small]
+        monkeypatch.setattr(numerov, "eigsh", forbidden)
+        monkeypatch.setattr(numerov, "eigh", forbidden)
+        for g, count in zip(small, negative):
+            _, calls = tracked_calls(case, g)
+            assert calls["lanczos"] == []
+            if count:
+                assert calls["sturm"] == [count]
+            else:
+                assert calls == {"inverse": 1, "lanczos": [], "sturm": [], "bisect": []}
+
     @pytest.mark.parametrize(
         "B,n,expected",
-        [(10.0, 512, [2, 4]), (100.0, 512, [2, 4, 8, 16]), (200.0, 8, [2, 4, 7])],  # the last stops at the window
+        [(10.0, 256, [(3, 4)]), (5.0, 16, [(1, 2)]), (200.0, 8, [(5, 6)]), (100.0, 256, [(16, 16)]), (500.0, 16, [(15, 15)])],  # the last two stop at the window
+    )
+    def test_small_mesh_bisects_the_levels_either_side_of_zero(self, B, n, expected):
+        _, calls = tracked_calls(DimensionlessCase(B=B, l=0), Grid(**REF, n=n))
+        assert calls["bisect"] == expected
+
+    @pytest.mark.parametrize(
+        "B,n,expected",
+        [(10.0, 512, [2, 4]), (100.0, 512, [2, 4, 8, 16]), (200.0, 512, [2, 4, 8, 16])],  # the last two stop at the window
     )
     def test_count_doubles_while_the_top_level_is_negative(self, B, n, expected):
-        _, counts = tracked_counts(DimensionlessCase(B=B, l=0), Grid(**REF, n=n))
-        assert counts == expected
+        _, calls = tracked_calls(DimensionlessCase(B=B, l=0), Grid(**REF, n=n))
+        assert calls["lanczos"] == expected
+
+
+def test_band_reduction_routines_are_exported_by_scipy():
+    """The reduction calls dpbstf, dsbgst and dsbtrd through scipy's cython_lapack capsules."""
+    for name in ("dpbstf", "dsbgst", "dsbtrd"):
+        assert name in cython_lapack.__pyx_capi__
 
 
 class TestConvergenceTable:
