@@ -10,33 +10,40 @@ on a uniform lattice over [z_min, z_max] with Dirichlet ends becomes the
 pencil (-Ahat + Bhat Vhat, Bhat).  It is not symmetric for a non-constant
 potential, but Ahat and Bhat are Toeplitz tridiagonal, so they commute and
 H = -Bhat^{-1} Ahat + Vhat has the same spectrum and is symmetric.  H is
-dense; its congruence by Bhat is the pentadiagonal pencil
+dense, yet one engine reaches its levels through two tridiagonal matrices.
 
-    K chi = A M chi,   K = Bhat H Bhat = -Ahat Bhat + Bhat Vhat Bhat,   M = Bhat^2,
+Counting.  Ahat = 12 (Bhat - I)/delta^2, so with w_i = delta^2 (V_i - sigma) - 12
 
-with psi = Bhat chi.  K and M are symmetric, M is positive definite, and
-K - sigma M = Bhat (H - sigma) Bhat is positive definite exactly when
-sigma lies below every level (Sylvester inertia).  `solve` bisects for
-such a shift between min V - 1 (valid because -Bhat^{-1} Ahat is positive
-definite) and the Rayleigh quotient K_ii/M_ii at argmin V, with LAPACK's
-banded Cholesky `dpbtrf` as the test.  With U the last successful factor,
+    H - sigma = 12 (C + delta^{-2} Bhat^{-1}),   C = diag(w) / (12 delta^2).
 
-    x -> Bhat U^{-1} U^{-T} Bhat x = Bhat (K - sigma M)^{-1} Bhat x = (H - sigma)^{-1} x
+Haynsworth inertia additivity on [[C, I], [I, -delta^2 Bhat]], taken about
+each diagonal block in turn, counts the levels below sigma exactly on every
+mesh, also where w changes sign along it:
 
-is symmetric positive definite and costs one `dpbtrs` solve.  Its largest
-eigenvalues theta give the levels A = sigma + 1/theta, and its eigenvectors
-are the orthonormal psi.  The levels come by one of three paths:
+    count_below(sigma) = #{w_i < 0} - #{eigenvalues <= 0 of S(sigma)},
 
-* inverse iteration with that operator, for the lowest level alone: sigma
-  lies within SHIFT_RTOL of it, so a few solves settle theta;
-* the tridiagonal path, for more levels of a system of at most
-  TRIDIAGONAL_MAX_SIZE nodes, or at least TRIDIAGONAL_MIN_COUNT levels of
-  any: Crawford's split-Cholesky reduction (LAPACK `dpbstf`, `dsbgst`) and
-  `dsbtrd` bring (K, M) once to a symmetric tridiagonal T with the same
-  levels, Sturm-sequence bisection (`dstebz`) counts and finds them, and one
-  inverse-iteration pass on the tridiagonal Bhat (H - A) = -Ahat + Bhat (V - A)
-  polishes each level and gives its psi;
-* standard-mode Lanczos (`eigsh`) with that operator, for the rest.
+where S(sigma) is symmetric tridiagonal with diagonal 10 + 144/w_i and
+off-diagonal 1 (delta^2 Bhat + C^{-1} = delta^2 S(sigma) / 12).  One Sturm
+sequence of S(sigma), LAPACK `dlaebz`, costs O(n) (Barth, Martin &
+Wilkinson, Numer. Math. 9, 386 (1967)).  A node on Numerov's stability
+bound, w_i = 0, gets the diagonal entry +inf: the limit w_i -> 0+, that is
+sigma approached from below, which is what a count of the levels below
+sigma needs.  `dlaebz` carries it through, since the next pivot loses its
+1/inf term.
+
+Settling.  T(a) = -Ahat + Bhat (V - a) = Bhat (H - a) is tridiagonal, so
+(H - a)^{-1} x = T(a)^{-1} Bhat x costs one `dgttrf` and one `dgttrs`.
+Counts bisect a bracket [lo, hi) until it holds the wanted level alone; or,
+with the levels below it known, inverse iteration at lo with the nearest of
+their psi projected off gives a Rayleigh quotient just above the wanted
+level, and one count there closes the bracket.  Inverse iteration and then
+Rayleigh-quotient iteration, kept inside the bracket, settle the level and
+give its unit psi: once 1/||(H - a)^{-1} x|| is small, some level lies that
+close to the shift a, and the bracket says which one.  The level returned
+is psi^T H psi, with Bhat^{-1} by one `dpttrs` solve.
+
+Every level lies in (min V, max V + 6/delta^2), because -Bhat^{-1} Ahat has
+its spectrum in (0, 6/delta^2).
 
 The dense matrices of the original pencil and of the symmetric operator
 (`kinetic_matrix`, `b_matrix`, `left_matrix`, `symmetric_operator`) and
@@ -48,30 +55,33 @@ them by name.
 
 from __future__ import annotations
 
+import bisect
 import ctypes
+import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import cython_lapack, solve_banded
 from scipy.linalg import eig, eigh  # noqa: F401  (benchmark traces wrap numerov.eig and numerov.eigh by name)
-from scipy.linalg.lapack import dgttrf, dgttrs, dpbtrf, dpbtrs, dstebz
+from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
 
 from .errors import DomainError, NonConvergenceError
 from .model import DimensionlessCase, R_of_z
 
-#: the shift bisection stops once the bracket around the lowest level is
-#: narrower than this fraction of max(1, |upper end|)
-SHIFT_RTOL = 1e-2
-#: inverse iteration stops once theta = x^T (H - sigma)^{-1} x changes by at most
-#: this fraction of itself; at machine epsilon rounding noise keeps it from firing
-INVERSE_RTOL = 1e-14
-#: inverse iteration raises NonConvergenceError after this many solves
-INVERSE_MAX_SOLVES = 100
-#: more than one level of a system of at most this many nodes, or at least this
-#: many levels of any system, come from the tridiagonal form; the rest from Lanczos
-TRIDIAGONAL_MAX_SIZE = 255
-TRIDIAGONAL_MIN_COUNT = 128
+#: inverse-iteration solves at a fixed shift before Rayleigh-quotient iteration moves it
+FIXED_SHIFT_SOLVES = 3
+#: inverse iteration at a shift just above level k - 1 projects off the psi of
+#: this many levels below it: level j grows against level k by about
+#: ((A_k - shift)/(shift - A_j))^FIXED_SHIFT_SOLVES, which for evenly spaced
+#: levels is 1/64 or less from the fifth one down
+PROJECTED_LEVELS = 4
+#: Rayleigh-quotient iteration stops once 1/||(H - a)^{-1} x||, the distance
+#: from the shift a to some level, is at most this fraction of the level; the
+#: Rayleigh quotient of its vector is then off by about the square of that
+SETTLE_RTOL = 1e-8
+#: and gives up after this many factorizations, and counts split the bracket instead
+SETTLE_MAX_STEPS = 8
 
 #: default production domain (any domain is accepted via Grid)
 DEFAULT_Z_MIN = 1e-4
@@ -129,38 +139,13 @@ class NumerovSystem:
     def size(self) -> int:
         return len(self.potential_values)
 
-    def pencil_bands(self) -> tuple[np.ndarray, np.ndarray]:
-        """K = -Ahat Bhat + Bhat Vhat Bhat and M = Bhat^2 in upper banded storage.
-
-        Row 2 holds the diagonal and rows 1 and 0 the first and second
-        superdiagonals (their leading entries unused), the layout
-        `cholesky_banded` takes.  With S the matrix of ones on the first
-        off-diagonals, Ahat = a_main I + a_off S and Bhat = b_main I + b_off S,
-        and S^2 has 2 on the diagonal (1 in the two end rows) and 1 on the
-        second off-diagonals.
-        """
-        v = self.potential_values
-        am, ao, bm, bo = self.a_main, self.a_off, self.b_main, self.b_off
-        s2 = np.full(self.size, 2.0)
-        s2[[0, -1]] = 1.0
-        k = np.zeros((3, self.size))
-        k[2] = bm * bm * v - (am * bm + ao * bo * s2)
-        k[2, 1:] += bo * bo * v[:-1]
-        k[2, :-1] += bo * bo * v[1:]
-        k[1, 1:] = bm * bo * (v[:-1] + v[1:]) - (ao * bm + am * bo)
-        k[0, 2:] = bo * bo * v[1:-1] - ao * bo
-        m = np.zeros((3, self.size))
-        m[2] = bm * bm + bo * bo * s2
-        m[1, 1:] = 2.0 * bm * bo
-        m[0, 2:] = bo * bo
-        return k, m
+    def apply_a(self, x: np.ndarray) -> np.ndarray:
+        """Ahat x for a vector x."""
+        return np.convolve(x, (self.a_off, self.a_main, self.a_off), "same")
 
     def apply_b(self, x: np.ndarray) -> np.ndarray:
-        """Bhat x, for a vector or for vectors stored as columns."""
-        y = self.b_main * x
-        y[1:] += self.b_off * x[:-1]
-        y[:-1] += self.b_off * x[1:]
-        return y
+        """Bhat x for a vector x."""
+        return np.convolve(x, (self.b_off, self.b_main, self.b_off), "same")
 
     def kinetic_matrix(self) -> np.ndarray:
         """Dense Ahat = (I_{-1} - 2 I_0 + I_{+1}) / delta^2."""
@@ -249,57 +234,42 @@ def _bind_lapack(name: str, *argtypes):
     return ctypes.CFUNCTYPE(None, *argtypes)(get_pointer(capsule, get_name(capsule)))
 
 
-_CHAR, _INT, _ARRAY = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int), ctypes.c_void_p
-_DPBSTF = _bind_lapack("dpbstf", _CHAR, _INT, _INT, _ARRAY, _INT, _INT)
-_DSBGST = _bind_lapack("dsbgst", _CHAR, _CHAR, _INT, _INT, _INT, _ARRAY, _INT, _ARRAY, _INT, _ARRAY, _INT, _ARRAY, _INT)
-_DSBTRD = _bind_lapack("dsbtrd", _CHAR, _CHAR, _INT, _INT, _ARRAY, _INT, _ARRAY, _ARRAY, _ARRAY, _INT, _ARRAY, _INT)
+_INT, _DOUBLE, _ARRAY = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double), ctypes.c_void_p
+# IJOB, NITMAX, N, MMAX, MINP, NBMIN; ABSTOL, RELTOL, PIVMIN; D, E, E2, NVAL, AB, C; MOUT; NAB, WORK, IWORK; INFO
+_DLAEBZ = _bind_lapack("dlaebz", *[_INT] * 6, *[_DOUBLE] * 3, *[_ARRAY] * 6, _INT, *[_ARRAY] * 3, _INT)
 
 
-def _band_pointer(ab: np.ndarray) -> int:
-    """The data address of an upper banded matrix with two superdiagonals, checked for LAPACK."""
-    if ab.dtype != np.float64 or ab.ndim != 2 or ab.shape[0] != 3 or not ab.flags.f_contiguous:
-        raise ValueError("expected a Fortran-ordered float64 band array of shape (3, n)")
-    return ab.ctypes.data
+@lru_cache(maxsize=16)
+def _ones(n: int) -> np.ndarray:
+    out = np.ones(n)
+    out.flags.writeable = False
+    return out
 
 
-def dpbstf(bb: np.ndarray) -> int:
-    """Split Cholesky factor M = S^T S of the banded `bb`, in place; LAPACK's info."""
-    n, info = ctypes.c_int(bb.shape[1]), ctypes.c_int(0)
-    _DPBSTF(b"U", n, ctypes.c_int(2), _band_pointer(bb), ctypes.c_int(3), info)
-    return info.value
+_ONE, _ZERO = ctypes.c_int(1), ctypes.c_int(0)  # arguments dlaebz only reads
+_NO_TOL, _PIVMIN = ctypes.c_double(0.0), ctypes.c_double(np.finfo(float).tiny)
 
 
-def dsbgst(ab: np.ndarray, bb: np.ndarray) -> int:
-    """Crawford's reduction of the banded pencil (ab, S^T S) to standard form in `ab`; LAPACK's info.
+def dlaebz(d: np.ndarray) -> tuple[int, int]:
+    """The number of eigenvalues <= 0 of the symmetric tridiagonal matrix with
+    diagonal `d` and off-diagonal 1, by one Sturm sequence; LAPACK's info.
 
-    `bb` holds the split Cholesky factor S from `dpbstf`; the result
-    X^T ab X, with X^T M X = I, keeps two superdiagonals.
+    LAPACK's `dlaebz` with IJOB = 1 counts at both ends of one interval,
+    here [0, 0]; a pivot smaller than the least normal number counts as
+    negative, and an infinite diagonal entry passes through.
     """
-    if bb.shape != ab.shape:
-        raise ValueError("the two band arrays differ in shape")
-    n, two, three, one, info = (ctypes.c_int(v) for v in (ab.shape[1], 2, 3, 1, 0))
-    unused, work = np.zeros(1), np.empty(2 * ab.shape[1])
-    _DSBGST(b"N", b"U", n, two, two, _band_pointer(ab), three, _band_pointer(bb), three, unused.ctypes.data, one, work.ctypes.data, info)
-    return info.value
-
-
-def dsbtrd(ab: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """The symmetric tridiagonal (d, e) orthogonally similar to banded `ab` (overwritten); LAPACK's info."""
-    size = ab.shape[1]
-    n, two, three, one, info = (ctypes.c_int(v) for v in (size, 2, 3, 1, 0))
-    d, e, unused, work = np.empty(size), np.empty(size - 1), np.zeros(1), np.empty(size)
-    _DSBTRD(b"N", b"U", n, two, _band_pointer(ab), three, d.ctypes.data, e.ctypes.data, unused.ctypes.data, one, work.ctypes.data, info)
-    return d, e, info.value
-
-
-def _tridiagonal_form(k: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and off-diagonal of a symmetric tridiagonal T with the levels of (K, M)."""
-    ab, bb = np.array(k, order="F"), np.array(m, order="F")  # both are overwritten
-    _check_info("dpbstf", dpbstf(bb))
-    _check_info("dsbgst", dsbgst(ab, bb))
-    d, e, info = dsbtrd(ab)
-    _check_info("dsbtrd", info)
-    return d, e
+    if d.dtype != np.float64 or d.ndim != 1 or not d.flags.c_contiguous:
+        raise ValueError("expected a contiguous float64 vector")
+    ones = _ones(d.shape[0]).ctypes.data
+    # AB(1, 1:2) = [0, 0], C(1) and WORK(1); NAB(1, 1:2), NVAL(1) and IWORK(1): the last two of each go unused
+    reals, ints = np.zeros(3), np.zeros(3, dtype=np.intc)
+    ab, nab = reals.ctypes.data, ints.ctypes.data
+    mout, info = ctypes.c_int(0), ctypes.c_int(0)
+    _DLAEBZ(
+        _ONE, _ZERO, ctypes.c_int(d.shape[0]), _ONE, _ONE, _ZERO, _NO_TOL, _NO_TOL, _PIVMIN,
+        d.ctypes.data, ones, ones, nab + 8, ab, ab + 16, mout, nab, ab + 16, nab + 8, info,
+    )
+    return int(ints[0]), info.value
 
 
 def _check_info(routine: str, info: int) -> None:
@@ -307,253 +277,276 @@ def _check_info(routine: str, info: int) -> None:
         raise NonConvergenceError(f"LAPACK {routine} failed with info = {info}")
 
 
-def _certified_shift(k: np.ndarray, m: np.ndarray, v: np.ndarray) -> tuple[float, float, np.ndarray, int]:
-    """A shift sigma below every level of (K, M), proven by a banded Cholesky factor.
-
-    `k` and `m` are the upper banded pencil, `v` the potential on the nodes.
-    Returns (sigma, upper, factor, steps): K - sigma M = U^T U with U the
-    returned upper banded factor, the lowest level lies in (sigma, upper],
-    and `steps` bisection steps narrowed that bracket.
-    """
-    i = int(np.argmin(v))
-    lo, hi = float(v[i]) - 1.0, float(k[2, i] / m[2, i])
-    factor, info = dpbtrf(k - lo * m)
-    if info:
-        raise NonConvergenceError(f"K - sigma M is not positive definite at sigma = {lo:g}")
-    steps = 0
-    while hi - lo > SHIFT_RTOL * max(1.0, abs(hi)):
-        mid = 0.5 * (lo + hi)
-        steps += 1
-        trial, info = dpbtrf(k - mid * m)
-        if info:
-            hi = mid
-        else:
-            lo, factor = mid, trial
-    return lo, hi, factor, steps
-
-
-class _Pencil:
-    """The banded pencil (K, M) of one mesh; its certified shift and its
-    tridiagonal form are each found once, on first use."""
-
-    def __init__(self, system: NumerovSystem):
-        self.system = system
-        self.k, self.m = system.pencil_bands()
-
-    @cached_property
-    def shift(self) -> tuple[float, float, np.ndarray, int]:
-        return _certified_shift(self.k, self.m, self.system.potential_values)
-
-    @cached_property
-    def tridiagonal(self) -> tuple[np.ndarray, np.ndarray]:
-        return _tridiagonal_form(self.k, self.m)
-
-    def shift_invert(self, x: np.ndarray) -> np.ndarray:
-        """(H - sigma)^{-1} x = Bhat (K - sigma M)^{-1} Bhat x: one `dpbtrs` solve."""
-        apply_b = self.system.apply_b
-        return apply_b(dpbtrs(self.shift[2], apply_b(x))[0])
-
-    def count_nonpositive(self) -> int:
-        """The number of levels <= 0: a Sturm count of the tridiagonal form at 0."""
-        d, e = self.tridiagonal
-        below = float(np.min(d) - 2.0 * np.max(np.abs(e))) - 1.0  # under every Gershgorin disc
-        # an absolute tolerance as wide as (below, 0] ends the bisection at once: only the count is used
-        count, _, _, _, info = dstebz(d, e, 1, below, 0.0, 0, 0, -below, b"E")
-        _check_info("dstebz", info)
-        return count
-
-    def bisect(self, first: int, last: int) -> np.ndarray:
-        """Levels `first` ... `last` (1-based, ascending) by bisection on the tridiagonal form."""
-        d, e = self.tridiagonal
-        found, w, _, _, info = dstebz(d, e, 2, 0.0, 0.0, first, last, 0.0, b"E")
-        _check_info("dstebz", info)
-        if found != last - first + 1:
-            raise NonConvergenceError(f"dstebz found {found} of levels {first}..{last}")
-        return w[:found]
-
-    def polish(self, a: float) -> tuple[float, np.ndarray]:
-        """One inverse-iteration pass on H from the shift `a` next to a level: the level and its unit psi.
-
-        T(a) = -Ahat + Bhat (V - a) = Bhat (H - a) is tridiagonal, so
-        (H - a)^{-1} x = T(a)^{-1} Bhat x costs one `dgttrs` solve after one
-        `dgttrf`.  The first solve turns the fixed start vector into the
-        level's eigenvector, the second gives theta = x^T (H - a)^{-1} x, and
-        the level is a + 1/theta.
-        """
-        system = self.system
-        u = system.potential_values - a
-        off = system.b_off * u
-        diagonal = system.b_main * u - system.a_main
-        *factor, info = dgttrf(off[:-1] - system.a_off, diagonal, off[1:] - system.a_off)
-        if info > 0:
-            # `a` is a level of T to working precision; as in LAPACK's inverse
-            # iteration (dstein), a tiny pivot stands in for the zero one
-            factor[1][factor[1] == 0.0] = np.finfo(float).eps * np.max(np.abs(diagonal))
-        else:
-            _check_info("dgttrf", info)
-        x = _start_vector(system.size)
-        for _ in range(2):
-            x /= np.linalg.norm(x)
-            y = dgttrs(*factor, system.apply_b(x))[0]
-            theta, x = float(x @ y), y
-        return a + 1.0 / theta, x / np.linalg.norm(x)
+@lru_cache(maxsize=16)
+def _bhat_factor(n: int, main: float, off: float) -> tuple[np.ndarray, np.ndarray]:
+    """The `dpttrf` factors of the positive definite Bhat of n nodes."""
+    d, e, info = dpttrf(np.full(n, main), np.full(n - 1, off))
+    _check_info("dpttrf", info)
+    d.flags.writeable = e.flags.writeable = False
+    return d, e
 
 
 @lru_cache(maxsize=16)
-def _seeded_normal(n: int) -> np.ndarray:
-    out = np.random.default_rng(0).standard_normal(n)
+def _seeded_start(n: int) -> np.ndarray:
+    # a constant, which overlaps the smooth psi of the low levels well, plus a
+    # seeded normal vector, which overlaps every psi, both of unit length
+    normal = np.random.default_rng(0).standard_normal(n)
+    out = normal / np.linalg.norm(normal) + 1.0 / np.sqrt(n)
     out.flags.writeable = False
     return out
 
 
 def _start_vector(n: int) -> np.ndarray:
     # a fixed start vector makes repeated solves bitwise reproducible; the
-    # caller owns the copy (inverse iteration normalizes it in place)
-    return _seeded_normal(n).copy()
+    # caller owns the copy (the iteration normalizes it in place)
+    return _seeded_start(n).copy()
 
 
-def _lowest_level(pencil: _Pencil, eigenvectors: bool) -> tuple[np.ndarray, np.ndarray | None, dict]:
-    """The lowest level by inverse iteration x <- (H - sigma)^{-1} x from the certified shift."""
-    sigma, upper, _, steps = pencil.shift
-    x = _start_vector(pencil.system.size)
-    x /= np.linalg.norm(x)
-    theta = 0.0
-    for solves in range(1, INVERSE_MAX_SOLVES + 1):
-        y = pencil.shift_invert(x)
-        theta, previous = float(x @ y), theta
-        x = y / np.linalg.norm(y)
-        if abs(theta - previous) <= INVERSE_RTOL * theta:
-            break
-    else:
-        raise NonConvergenceError(f"inverse iteration did not settle in {INVERSE_MAX_SOLVES} solves")
-    diagnostics = {"solver": "inverse", "size": pencil.system.size, "sigma": sigma, "sigma_lo": sigma}
-    diagnostics.update(sigma_hi=upper, shift_steps=steps, shift_invert_solves=solves)
-    return np.array([sigma + 1.0 / theta]), x[:, None] if eigenvectors else None, diagnostics
+class _Levels:
+    """The levels of one assembled mesh, each found on first use.
 
-
-def _tridiagonal_levels(pencil: _Pencil, count: int, eigenvectors: bool) -> tuple[np.ndarray, np.ndarray | None, dict]:
-    """The lowest `count` levels by bisection on the tridiagonal form, each polished by one pass."""
-    pairs = [pencil.polish(a) for a in pencil.bisect(1, count)]
-    w = np.array([a for a, _ in pairs])
-    psi = np.column_stack([x for _, x in pairs]) if eigenvectors else None
-    return w, psi, {"solver": "tridiagonal", "size": pencil.system.size}
-
-
-def _lanczos_levels(pencil: _Pencil, count: int, eigenvectors: bool) -> tuple[np.ndarray, np.ndarray | None, dict]:
-    """The lowest `count` levels by standard-mode Lanczos on (H - sigma)^{-1} from the certified shift."""
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator
-
-    n = pencil.system.size
-    sigma, upper, _, steps = pencil.shift
-    solves = 0
-
-    def shift_invert(x):
-        nonlocal solves
-        solves += 1
-        return pencil.shift_invert(x)
-
-    try:
-        op = LinearOperator((n, n), matvec=shift_invert, dtype=float)
-        theta, psi = eigsh(op, k=count, which="LA", v0=_start_vector(n))
-    except ArpackNoConvergence as exc:
-        raise NonConvergenceError("shift-invert Lanczos did not converge") from exc
-    order = np.argsort(theta)[::-1]
-    diagnostics = {"solver": "lanczos", "size": n, "krylov_basis": min(n, max(2 * count + 1, 20))}
-    diagnostics.update(sigma=sigma, sigma_lo=sigma, sigma_hi=upper, shift_steps=steps, shift_invert_solves=solves)
-    return sigma + 1.0 / theta[order], psi[:, order] if eigenvectors else None, diagnostics
-
-
-def eigsh(*args, **kwargs):
-    """scipy.sparse.linalg.eigsh, imported on first use: ARPACK takes about 20 ms to
-    import, and only the Lanczos path needs it."""
-    from scipy.sparse.linalg import eigsh as arpack_eigsh
-
-    return arpack_eigsh(*args, **kwargs)
-
-
-def _takes_tridiagonal(size: int, count: int) -> bool:
-    """Whether `count` > 1 levels of a system of `size` nodes come from the tridiagonal form.
-
-    The reduction costs O(size^2) and each level O(size) more, while Lanczos
-    orthogonalizes against ARPACK's basis of ncv = max(2 count + 1, 20)
-    vectors; the two thresholds are where they cost the same (at count 2 and
-    at size 600 to 5000).  Every system whose basis would span the space,
-    size <= 2 count + 1, falls under one of them.
+    Sturm counts bracket a level and Rayleigh-quotient iteration settles it;
+    `counts` and `factorizations` tally the two kinds of O(n) work.  Every
+    count is kept as a probe, so later levels start from the brackets that
+    earlier ones left.
     """
-    return size <= TRIDIAGONAL_MAX_SIZE or count >= TRIDIAGONAL_MIN_COUNT
 
+    def __init__(self, system: NumerovSystem):
+        self.system = system
+        v = system.potential_values
+        self.delta2 = system.grid.delta**2
+        self.floor, self.ceiling = float(np.min(v)), float(np.max(v)) + 6.0 / self.delta2
+        # w = stability - delta^2 sigma, and T(a) = (lower, diagonal, upper) - a Bhat
+        self.stability = self.delta2 * v - 12.0
+        self.diagonal = system.b_main * v - system.a_main
+        off = system.b_off * v - system.a_off
+        self.lower, self.upper = off[:-1], off[1:]
+        self.bhat = _bhat_factor(system.size, system.b_main, system.b_off)
+        # rounding a count or a solve moves a level by about eps times the extent of the spectrum
+        self.noise = 16.0 * np.finfo(float).eps * max(abs(self.floor), abs(self.ceiling))
+        # probes sigma -> count_below(sigma), both ascending; the two ends hold by the bound, not by a count
+        self.sigmas, self.below = [self.floor, self.ceiling], [0, system.size]
+        self.counts = self.factorizations = 0
+        self.found: dict[int, tuple[float, np.ndarray, tuple[float, float]]] = {}
 
-def _levels(pencil: _Pencil, count: int, eigenvectors: bool) -> tuple[np.ndarray, np.ndarray | None, dict]:
-    """Levels, eigenvectors (or None) and diagnostics of `solve`, on an assembled pencil."""
-    if count == 1:
-        return _lowest_level(pencil, eigenvectors)
-    if _takes_tridiagonal(pencil.system.size, count):
-        return _tridiagonal_levels(pencil, count, eigenvectors)
-    return _lanczos_levels(pencil, count, eigenvectors)
+    def _bounds(self, sigma: float) -> tuple[int, int]:
+        """Lower and upper bounds on count_below(sigma) from the probes on either side."""
+        i = bisect.bisect_left(self.sigmas, sigma)
+        if i < len(self.sigmas) and self.sigmas[i] == sigma:
+            return self.below[i], self.below[i]
+        return (self.below[i - 1] if i else 0), (self.below[i] if i < len(self.below) else self.system.size)
+
+    def count_below(self, sigma: float) -> int:
+        """The number of levels below sigma: from the probes when they pin it, else one Sturm count."""
+        low, high = self._bounds(sigma)
+        if low == high:
+            return low
+        w = self.stability - self.delta2 * sigma
+        with np.errstate(divide="ignore"):  # w_i = 0 gives +inf, sigma's limit from below
+            d = 144.0 / w
+        d += 10.0
+        nonpositive, info = dlaebz(d)
+        _check_info("dlaebz", info)
+        self.counts += 1
+        # within rounding of a level a count can fall out of order with its neighbours; keep the probes ascending
+        count = min(max(int(np.count_nonzero(w < 0.0)) - nonpositive, low), high)
+        i = bisect.bisect_left(self.sigmas, sigma)
+        self.sigmas.insert(i, sigma)
+        self.below.insert(i, count)
+        return count
+
+    def _bracket(self, k: int) -> tuple[float, float]:
+        """The probes lo < hi nearest level k: fewer than k levels lie below lo, at least k below hi."""
+        i = bisect.bisect_left(self.below, k)
+        return self.sigmas[i - 1], self.sigmas[i]
+
+    def _certify(self, k: int, a: float, tau: float) -> bool:
+        """Whether a level within tau of a is level k: at most k levels lie below a + tau and at
+        least k - 1 below a - tau, as the probes show or one count each decides."""
+        above, below = a + tau, a - tau
+        if self._bounds(above)[1] > k and self.count_below(above) > k:
+            return False
+        return self._bounds(below)[0] >= k - 1 or self.count_below(below) >= k - 1
+
+    def _factor(self, a: float) -> list:
+        """The `dgttrf` factors of T(a) = -Ahat + Bhat (V - a) = Bhat (H - a)."""
+        off = self.system.b_off * a
+        diagonal = self.diagonal - self.system.b_main * a
+        lower, upper = self.lower - off, self.upper - off
+        *factor, info = dgttrf(lower, diagonal, upper, overwrite_dl=True, overwrite_d=True, overwrite_du=True)
+        self.factorizations += 1
+        if info > 0:
+            # `a` is a level of T to working precision; as in LAPACK's inverse
+            # iteration (dstein), a tiny pivot stands in for the zero one
+            factor[1][factor[1] == 0.0] = np.finfo(float).eps * np.max(np.abs(self.diagonal - self.system.b_main * a))
+        else:
+            _check_info("dgttrf", info)
+        return factor
+
+    def _inverse(self, a: float, lower: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+        """FIXED_SHIFT_SOLVES steps of inverse iteration x <- (H - a)^{-1} x at the fixed shift a
+        from the fixed start vector: the Rayleigh quotient of the last x, and x.
+
+        y = (H - a)^{-1} x = T(a)^{-1} Bhat x is one `dgttrs` solve, and the
+        Rayleigh quotient of y is a + x^T y / y^T y.  Each solve draws x toward
+        the psi of the level nearest a.  The columns of `lower`, if given, are
+        the psi of levels to leave out: each solve is projected off them.
+        With every level below a projected off, the Rayleigh quotient bounds
+        the lowest level left from above.
+        """
+        factor = self._factor(a)
+        x = _start_vector(self.system.size)
+        for _ in range(FIXED_SHIFT_SOLVES):
+            x /= math.sqrt(x @ x)
+            y = dgttrs(*factor, self.system.apply_b(x), overwrite_b=True)[0]
+            if lower is not None:
+                y -= lower @ (lower.T @ y)
+            quotient, x = a + (x @ y) / (y @ y), y
+        return float(quotient), x
+
+    def _rayleigh(self, psi: np.ndarray) -> float:
+        """psi^T H psi = psi^T V psi - psi^T Bhat^{-1} Ahat psi for a unit psi; Bhat^{-1} is one `dpttrs` solve."""
+        system = self.system
+        return float(psi @ (system.potential_values * psi) - psi @ dpttrs(*self.bhat, system.apply_a(psi))[0])
+
+    def _settle(self, lo: float, hi: float, a: float, x: np.ndarray) -> tuple[float, np.ndarray, float] | None:
+        """Rayleigh-quotient iteration from the shift a and the vector x: (level, unit psi, tau)
+        with a level of H within tau of the one returned, or None once an estimate
+        leaves [lo, hi] (give or take the rounding floor) or SETTLE_MAX_STEPS
+        factorizations pass.
+
+        Each solve y = (H - a)^{-1} x gives the next shift, the Rayleigh
+        quotient a + x^T y / y^T y of y.  1/||y|| = ||(H - a) psi|| for
+        psi = y/||y|| bounds the distance from a to some level, and the
+        iteration stops once that is below SETTLE_RTOL of the level or the
+        rounding floor; one more solve on the same factors then leaves psi's
+        error at about the square of that.  The level returned is psi^T H psi,
+        taken with H itself: the solve's rounding, about eps ||T(a)||, moves
+        the quotient a + x^T y / y^T y by as much, but psi^T H psi only by the
+        square of psi's error.
+        """
+        apply_b = self.system.apply_b
+        for _ in range(SETTLE_MAX_STEPS):
+            x /= math.sqrt(x @ x)
+            factor = self._factor(a)
+            y = dgttrs(*factor, apply_b(x), overwrite_b=True)[0]
+            norm = math.sqrt(y @ y)
+            estimate, x = a + (x @ y) / norm**2, y
+            if not lo - self.noise <= estimate <= hi + self.noise:
+                return None
+            if norm * max(SETTLE_RTOL * abs(estimate), self.noise) >= 1.0:
+                psi = dgttrs(*factor, apply_b(y / norm), overwrite_b=True)[0]
+                psi /= math.sqrt(psi @ psi)
+                level = self._rayleigh(psi)
+                return level, psi, float(abs(level - a) + 1.0 / norm + self.noise)
+            a = estimate
+        return None
+
+    def level(self, k: int) -> tuple[float, np.ndarray, tuple[float, float]]:
+        """Level k (1-based, ascending), its unit psi and a bracket [lo, hi) that holds it alone.
+
+        Once the bracket holds level k alone, inverse iteration from its
+        midpoint, the point to which level k is nearest, and then
+        Rayleigh-quotient iteration settle the level, unless an estimate
+        leaves the bracket.  Before that, once per level, with the k - 1
+        lower levels known and fewer than k levels below lo, inverse
+        iteration at lo with the nearest PROJECTED_LEVELS of them projected
+        off gives a Rayleigh quotient that lies above level k unless a
+        farther level has grown in: a count there either closes the
+        bracket, and the level settles from that bound, or splits the
+        bracket.  Otherwise, and whenever an iteration fails, a count at the
+        midpoint splits the bracket.
+        """
+        try_bound = all(j in self.found for j in range(1, k))
+        while k not in self.found:
+            lo, hi = self._bracket(k)
+            counts, settled = self.counts, None
+            if self.count_below(lo) == k - 1 and self.count_below(hi) == k:
+                estimate, x = self._inverse(0.5 * (lo + hi))
+                settled = self._settle(lo, hi, min(max(estimate, lo), hi), x)
+            elif self.count_below(lo) == k - 1 and try_bound:
+                try_bound = False
+                nearest = [self.found[j][1] for j in range(max(1, k - PROJECTED_LEVELS), k)]
+                bound, x = self._inverse(lo, np.column_stack(nearest) if nearest else None)
+                if lo < bound < hi and self.count_below(bound) == k:
+                    settled = self._settle(lo, bound, bound, x)
+            if settled is not None and self._certify(k, settled[0], settled[2]):
+                self.found[k] = (settled[0], settled[1], self._bracket(k))
+            elif self.counts == counts:
+                mid = 0.5 * (lo + hi)
+                if not lo < mid < hi:
+                    raise NonConvergenceError(f"level {k} did not settle in [{lo!r}, {hi!r})")
+                self.count_below(mid)
+        return self.found[k]
+
+    def tracked(self, window: int) -> float:
+        """The smallest-|A| level among the lowest `window`.
+
+        With m = count_below(0), it is level 1 when m = 0, the top of the
+        window when m >= window, and else level m or m + 1.  In that last case
+        inverse iteration and then Rayleigh-quotient iteration from the shift
+        0 find the level nearest 0; counts then prove its index (m + 1 at or
+        above 0, m below) and that the level on the other side of 0 lies
+        farther out.  When the proof fails, both candidates are found by
+        `level`.
+        """
+        m = self.count_below(0.0)
+        if m == 0 or m >= window:
+            return self.level(max(1, min(m, window)))[0]
+        settled = self._settle(self.floor, self.ceiling, *self._inverse(0.0))
+        if settled is not None:
+            a, psi, tau = settled
+            # a level at or above 0 is level m + 1, and level m must lie below -(a + tau);
+            # a level below 0 is level m, and level m + 1 must lie at or above -a + tau
+            k, far = (m + 1, -a - tau) if a >= 0.0 else (m, -a + tau)
+            if self._certify(k, a, tau):
+                self.found[k] = (a, psi, self._bracket(k))
+                if self.count_below(far) == m:
+                    return a
+        return Spectrum(np.array([self.level(k)[0] for k in (m, m + 1)])).tracked_value()
+
+    def diagnostics(self, count: int) -> dict:
+        levels = [{"index": k, "bracket": self.found[k][2]} for k in range(1, count + 1)]
+        return {
+            "solver": "sturm",
+            "size": self.system.size,
+            "sturm_counts": self.counts,
+            "factorizations": self.factorizations,
+            "levels": levels,
+        }
 
 
 def solve(case: DimensionlessCase, grid: Grid, count: int, eigenvectors: bool = False) -> Spectrum:
-    """The `count` smallest dimensionless levels A on the given grid, by one of three paths.
+    """The `count` smallest dimensionless levels A on the given grid.
 
-    Inverse iteration, for one level: on (H - sigma)^{-1} from the certified
-    shift.  sigma lies within SHIFT_RTOL of the lowest level and every other
-    level is farther off, so each `dpbtrs` solve shrinks the error of
-    theta = x^T (H - sigma)^{-1} x by the square of their distance ratio, and
-    it stops once theta changes by at most INVERSE_RTOL.
-    Tridiagonal, for more levels on systems of at most TRIDIAGONAL_MAX_SIZE
-    nodes and for at least TRIDIAGONAL_MIN_COUNT levels of any system (which
-    takes in every count whose ARPACK basis would span the space): the pencil is
-    reduced once to a symmetric tridiagonal T with the same levels
-    (`dpbstf`, `dsbgst`, `dsbtrd`), `dstebz` bisects T for the lowest
-    `count`, and each is polished by one inverse-iteration pass on the
-    tridiagonal Bhat (H - A), which also gives its psi.
-    Lanczos, for more levels on larger systems: standard mode on
-    (H - sigma)^{-1} = Bhat (K - sigma M)^{-1} Bhat from the certified shift.
-    Eigenvectors are the orthonormal psi.  The diagnostics hold the solver
-    (`inverse`, `tridiagonal` or `lanczos`) and the size; the Lanczos path
-    adds `krylov_basis` (ncv), and the two shifted ones add `sigma`, the
-    bracket (`sigma_lo`, `sigma_hi`] of the lowest level, the bisection
-    steps and the operator applications (one `dpbtrs` each).
+    Levels come in ascending order from `_Levels.level`: Sturm counts
+    bracket level k alone, and inverse and Rayleigh-quotient iteration on
+    the tridiagonal Bhat (H - a) settle it inside the bracket and give its
+    psi; the counts for one level are kept for the next.  Eigenvectors are
+    the orthonormal psi.  The diagnostics hold the solver (`sturm`), the
+    size, the number of Sturm counts (`sturm_counts`) and of `dgttrf`
+    factorizations, and for each level its 1-based `index` and its
+    `bracket` [lo, hi), below whose ends k - 1 and k levels lie.
     """
-    pencil = _Pencil(assemble(case, grid))
-    n = pencil.system.size
+    n = grid.n - 1
     if not (1 <= count <= n):
         raise DomainError(f"count must be between 1 and {n}")
-    w, psi, diagnostics = _levels(pencil, count, eigenvectors)
-    return Spectrum(w, psi, case, grid, diagnostics)
+    levels = _Levels(assemble(case, grid))
+    found = [levels.level(k) for k in range(1, count + 1)]
+    w = np.array([a for a, _, _ in found])
+    psi = np.column_stack([x for _, x, _ in found]) if eigenvectors else None
+    return Spectrum(w, psi, case, grid, levels.diagnostics(count))
 
 
 def tracked_level(case: DimensionlessCase, grid: Grid) -> float:
     """Smallest-|A| level among the lowest `TRACKED_WINDOW` eigenvalues.
 
-    The mesh is assembled once and every solve below reuses its pencil.
-    One `dpbtrf` of K is a Sylvester probe: K = Bhat H Bhat is positive
-    definite exactly when every level is positive, and then the lowest level
-    is the tracked one, found alone by inverse iteration.  Otherwise the
-    levels ascend, so the smallest |A| in the window is the last level <= 0
-    or the first one above it.  On systems of at most TRIDIAGONAL_MAX_SIZE
-    nodes a Sturm count of the tridiagonal form gives m, the number of
-    levels <= 0, exactly; bisection finds levels m and m + 1 (capped at the
-    window).  On larger ones Lanczos starts at 2 levels and doubles the
-    count, capped at the window, while its highest level is negative: once
-    it is >= 0 no later level is closer to zero and the solved prefix
-    decides.  Either way the level returned is polished by one
-    inverse-iteration pass on the tridiagonal Bhat (H - A).
+    One Sturm count at 0 gives m, the number of negative levels; the window
+    caps the answer at its top level, and otherwise it is level m or m + 1.
+    Rayleigh-quotient iteration from the shift 0 finds the level nearest 0,
+    and two or three counts prove which one it is (see `_Levels.tracked`).
     """
-    pencil = _Pencil(assemble(case, grid))
-    window = min(TRACKED_WINDOW, grid.n - 1)
-    if dpbtrf(pencil.k)[1] == 0:
-        return float(_lowest_level(pencil, False)[0][0])
-    if pencil.system.size <= TRIDIAGONAL_MAX_SIZE:
-        m = pencil.count_nonpositive()
-        levels = pencil.bisect(max(1, min(m, window)), min(m + 1, window))
-    else:
-        count = 2
-        levels = _lanczos_levels(pencil, count, False)[0]
-        while levels[-1] < 0.0 and count < window:
-            count = min(2 * count, window)
-            levels = _lanczos_levels(pencil, count, False)[0]
-    return pencil.polish(Spectrum(levels).tracked_value())[0]
+    return _Levels(assemble(case, grid)).tracked(min(TRACKED_WINDOW, grid.n - 1))
 
 
 def convergence_table(case: DimensionlessCase, grids: list[Grid]) -> list[tuple[int, float]]:

@@ -255,10 +255,38 @@ def z_integrals(u, m: float) -> tuple[complex, complex, complex]:
     return z1, z2, z3
 
 
+def pencil_bands(system) -> tuple[np.ndarray, np.ndarray]:
+    """K = -Ahat Bhat + Bhat Vhat Bhat and M = Bhat^2 of a NumerovSystem in upper banded storage.
+
+    Row 2 holds the diagonal and rows 1 and 0 the first and second
+    superdiagonals (their leading entries unused), the layout
+    `cholesky_banded` takes.  With S the matrix of ones on the first
+    off-diagonals, Ahat = a_main I + a_off S and Bhat = b_main I + b_off S,
+    and S^2 has 2 on the diagonal (1 in the two end rows) and 1 on the
+    second off-diagonals.  H = -Bhat^{-1} Ahat + Vhat has the levels of the
+    pencil K chi = A M chi, with psi = Bhat chi.
+    """
+    v = system.potential_values
+    am, ao, bm, bo = system.a_main, system.a_off, system.b_main, system.b_off
+    s2 = np.full(system.size, 2.0)
+    s2[[0, -1]] = 1.0
+    k = np.zeros((3, system.size))
+    k[2] = bm * bm * v - (am * bm + ao * bo * s2)
+    k[2, 1:] += bo * bo * v[:-1]
+    k[2, :-1] += bo * bo * v[1:]
+    k[1, 1:] = bm * bo * (v[:-1] + v[1:]) - (ao * bm + am * bo)
+    k[0, 2:] = bo * bo * v[1:-1] - ao * bo
+    m = np.zeros((3, system.size))
+    m[2] = bm * bm + bo * bo * s2
+    m[1, 1:] = 2.0 * bm * bo
+    m[0, 2:] = bo * bo
+    return k, m
+
+
 def banded_quadratic_form(bands: np.ndarray, x: np.ndarray) -> Fraction:
     """x^T S x in exact rational arithmetic, for S symmetric in upper banded storage.
 
-    `bands` has the layout of `NumerovSystem.pencil_bands`: row -1 the
+    `bands` has the layout of `pencil_bands`: row -1 the
     diagonal, row -1 - d the d-th superdiagonal (its leading d entries
     unused).  Every float converts to a Fraction exactly, so nothing rounds.
     """
@@ -286,7 +314,7 @@ def pencil_levels_exact(system, indices) -> list[tuple[float, float]]:
     n = system.size
     bhat = np.zeros((3, n))
     bhat[0, 1:], bhat[1], bhat[2, :-1] = system.b_off, system.b_main, system.b_off
-    k, m = system.pencil_bands()
+    k, m = pencil_bands(system)
     out = []
     for i in indices:
         chi = solve_banded((1, 1), bhat, psi[:, i])

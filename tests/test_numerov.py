@@ -1,15 +1,14 @@
 """Numerov discretization: assembly, spectrum properties, golden values."""
 
-from unittest import mock
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from oracles import pencil_levels_exact
-from scipy.linalg import cholesky_banded, cython_lapack, eigh
-from scipy.linalg.lapack import dgttrf, dpbtrf, dpbtrs, dstebz
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator
+from oracles import pencil_bands, pencil_levels_exact
+from scipy.linalg import cython_lapack, eigh, eigvalsh_tridiagonal
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from cornellbound import numerov
 from cornellbound.errors import DomainError, NonConvergenceError
@@ -27,14 +26,14 @@ from cornellbound.numerov import (
 REF = dict(z_min=1e-5, z_max=20.0)
 
 
-def expected_solver(count: int, size: int) -> str:
-    """Inverse iteration for one level; for more, the tridiagonal form on small systems
-    and for many levels, else Lanczos."""
-    if count == 1:
-        return "inverse"
-    if size <= numerov.TRIDIAGONAL_MAX_SIZE or count >= numerov.TRIDIAGONAL_MIN_COUNT:
-        return "tridiagonal"
-    return "lanczos"
+def levels_of(case: DimensionlessCase, grid: Grid) -> "numerov._Levels":
+    """A fresh engine for one mesh, to count or find its levels directly."""
+    return numerov._Levels(assemble(case, grid))
+
+
+def dense_levels(case: DimensionlessCase, grid: Grid) -> np.ndarray:
+    """Every level of a dense eigh of the symmetric operator."""
+    return eigh(assemble(case, grid).symmetric_operator(), eigvals_only=True)
 
 
 class TestGrid:
@@ -79,7 +78,7 @@ class TestAssembly:
         case = DimensionlessCase(B=5.0, l=2)
         sys = assemble(case, Grid(0.1, 10.0, 64))
         a, b, v = sys.kinetic_matrix(), sys.b_matrix(), np.diag(sys.potential_values)
-        k, m = sys.pencil_bands()
+        k, m = pencil_bands(sys)
         for bands, dense in ((k, -a @ b + b @ v @ b), (m, b @ b)):
             scale = np.max(np.abs(dense))
             assert np.allclose(np.diag(dense), bands[2], rtol=0, atol=1e-13 * scale)
@@ -89,6 +88,7 @@ class TestAssembly:
             assert np.allclose(dense, dense.T, rtol=0, atol=1e-13 * scale)
         x = np.linspace(-1.0, 1.0, sys.size)
         assert np.allclose(sys.apply_b(x), b @ x, rtol=0, atol=1e-15)
+        assert np.allclose(sys.apply_a(x), a @ x, rtol=0, atol=1e-13 * np.max(np.abs(a)))
 
     def test_potential_values(self):
         case = DimensionlessCase(B=2.0, l=1)
@@ -171,12 +171,11 @@ class TestSpectrum:
         ],
     )
     def test_eigenvectors_solve_pencil_and_are_orthonormal(self, B, l, n, count):
-        # both sides of the size threshold (255 and 257 nodes) and of the count threshold
-        # (127 and 128 levels), and up to size <= 2 count + 1, where ARPACK's basis spans the space
+        # small and large systems, few levels and up to every level but one
         case = DimensionlessCase(B=B, l=l)
         g = Grid(**REF, n=n)
         spec = solve(case, g, count, eigenvectors=True)
-        assert spec.diagnostics["solver"] == expected_solver(count, n - 1)
+        assert spec.diagnostics["solver"] == "sturm"
         w, psi = spec.eigenvalues, spec.eigenvectors
         sys = assemble(case, g)
         # pencil_residual of every column at once
@@ -184,27 +183,24 @@ class TestSpectrum:
         assert np.all(residual <= 1e-8 * np.maximum(1.0, np.abs(w)))
         assert np.allclose(psi.T @ psi, np.eye(count), rtol=0, atol=1e-10)
 
-    def test_shift_invert_solves_count_operator_applications(self, monkeypatch):
-        # one banded Cholesky solve per application of Bhat (K - sigma M)^{-1} Bhat
-        calls = {"cholesky": 0, "operator": 0}
-        eigsh = numerov.eigsh
+    def test_diagnostics_tally_the_lapack_calls(self, monkeypatch):
+        # one dlaebz per Sturm count and one dgttrf per factorization
+        calls = {"dlaebz": 0, "dgttrf": 0}
 
-        def counting_solve(*args, **kwargs):
-            calls["cholesky"] += 1
-            return dpbtrs(*args, **kwargs)
+        def counting(name, routine):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return routine(*args, **kwargs)
 
-        def counting_eigsh(op, *args, **kwargs):
-            def matvec(x):
-                calls["operator"] += 1
-                return op.matvec(x)
+            return call
 
-            return eigsh(LinearOperator(op.shape, matvec=matvec, dtype=op.dtype), *args, **kwargs)
-
-        monkeypatch.setattr(numerov, "dpbtrs", counting_solve)
-        monkeypatch.setattr(numerov, "eigsh", counting_eigsh)
+        monkeypatch.setattr(numerov, "dlaebz", counting("dlaebz", numerov.dlaebz))
+        monkeypatch.setattr(numerov, "dgttrf", counting("dgttrf", dgttrf))
         spec = solve(DimensionlessCase(B=2.0, l=0), Grid(**REF, n=512), 16)
-        assert spec.diagnostics["solver"] == "lanczos"
-        assert spec.diagnostics["shift_invert_solves"] == calls["cholesky"] == calls["operator"] > 0
+        d = spec.diagnostics
+        assert d["solver"] == "sturm" and d["size"] == 511
+        assert d["sturm_counts"] == calls["dlaebz"] > 0
+        assert d["factorizations"] == calls["dgttrf"] > 0
 
     def test_centrifugal_monotonicity(self):
         g = Grid(**REF, n=400)
@@ -218,132 +214,123 @@ class TestSpectrum:
         assert a2 < a0
 
     def test_repeated_solves_bitwise_equal(self):
+        # the levels, the vectors and the counts behind them all repeat exactly
         case = DimensionlessCase(B=10.0, l=0)
         g = Grid(**REF, n=512)
         first = solve(case, g, 16, eigenvectors=True)
         second = solve(case, g, 16, eigenvectors=True)
-        assert first.diagnostics["solver"] == "lanczos"
+        assert first.diagnostics["solver"] == "sturm"
+        assert first.diagnostics == second.diagnostics
         assert np.array_equal(first.eigenvalues, second.eigenvalues)
         assert np.array_equal(first.eigenvectors, second.eigenvectors)
 
-    @pytest.mark.parametrize("B,l,n,count", [(0.0, 0, 512, 4), (10.0, 0, 512, 16), (5.0, 2, 64, 1)])
-    def test_certified_shift_below_lowest_level(self, B, l, n, count):
+    @pytest.mark.parametrize(
+        "B,l,n,count",
+        [(0.0, 0, 512, 4), (10.0, 0, 512, 16), (5.0, 2, 64, 1), (2.0, 0, 8, 7), (0.0, 5, 600, 12), (2.0, 0, 5000, 3)],
+    )
+    def test_each_bracket_holds_its_level_alone(self, B, l, n, count):
+        # the diagnostics name every level's 1-based index and a bracket [lo, hi)
+        # below which k - 1 and k levels lie; a dense eigh agrees with both counts
         case = DimensionlessCase(B=B, l=l)
         g = Grid(**REF, n=n)
         spec = solve(case, g, count)
         d = spec.diagnostics
-        assert d["size"] == n - 1
-        assert d["solver"] == expected_solver(count, n - 1)
-        if count == 1:
-            assert "krylov_basis" not in d
-        else:
-            assert d["krylov_basis"] == max(2 * count + 1, 20)
-        assert d["shift_steps"] > 0 and d["shift_invert_solves"] > 0
-        assert d["sigma"] == d["sigma_lo"]
-        k, m = assemble(case, g).pencil_bands()
-        cholesky_banded(k - d["sigma"] * m)  # raises unless K - sigma M is positive definite
-        assert d["sigma_lo"] < spec.eigenvalues[0] <= d["sigma_hi"]
+        assert d["size"] == n - 1 and d["solver"] == "sturm"
+        assert d["sturm_counts"] > 0 and d["factorizations"] >= count
+        assert [level["index"] for level in d["levels"]] == list(range(1, count + 1))
+        ref = dense_levels(case, g)[: count + 1] if n <= 600 else None
+        for k, (level, a) in enumerate(zip(d["levels"], spec.eigenvalues), start=1):
+            lo, hi = level["bracket"]
+            assert lo <= a < hi
+            if ref is not None:
+                assert np.sum(ref < lo) == k - 1 and np.sum(ref < hi) == k
+            else:
+                assert levels_of(case, g).count_below(lo) == k - 1 and levels_of(case, g).count_below(hi) == k
 
-    @pytest.mark.parametrize("B,l,n,count", [(2.0, 1, 16, 15), (10.0, 0, 128, 16), (10.0, 0, 256, 2), (2.0, 2, 300, 149)])
-    def test_tridiagonal_path_runs_no_cholesky_and_no_full_eigensolver(self, B, l, n, count, monkeypatch):
-        factorizations = []
-
-        def counting_factor(*args, **kwargs):
-            factorizations.append(args)
-            return dpbtrf(*args, **kwargs)
-
+    @pytest.mark.parametrize(
+        "B,l,n,count", [(2.0, 1, 16, 15), (10.0, 0, 128, 16), (10.0, 0, 256, 2), (2.0, 2, 300, 149), (2.0, 0, 2000, 1)]
+    )
+    def test_solve_runs_no_full_eigensolver(self, B, l, n, count, monkeypatch):
         def forbidden(*args, **kwargs):
-            raise AssertionError("the tridiagonal path called a full eigensolver")
+            raise AssertionError("solve called a full eigensolver")
 
-        monkeypatch.setattr(numerov, "dpbtrf", counting_factor)
-        monkeypatch.setattr(numerov, "eigsh", forbidden)
+        monkeypatch.setattr(numerov, "eig", forbidden)
         monkeypatch.setattr(numerov, "eigh", forbidden)
-        spec = solve(DimensionlessCase(B=B, l=l), Grid(**REF, n=n), count)
-        assert spec.diagnostics == {"solver": "tridiagonal", "size": n - 1}
-        assert factorizations == []
-
-    def test_solver_failures_raise_package_errors(self, monkeypatch):
-        case = DimensionlessCase(B=2.0, l=1)
-        g = Grid(**REF, n=512)
-
-        def no_convergence(*args, **kwargs):
-            raise ArpackNoConvergence("forced", np.empty(0), np.empty((0, 0)))
-
-        monkeypatch.setattr(numerov, "eigsh", no_convergence)
-        with pytest.raises(NonConvergenceError):
-            solve(case, g, 4)
-
-        def not_positive_definite(ab, *args, **kwargs):
-            return ab, 1  # LAPACK's info > 0: the leading minor of order 1 is not positive
-
-        monkeypatch.setattr(numerov, "dpbtrf", not_positive_definite)
-        with pytest.raises(NonConvergenceError):
-            solve(case, g, 4)
+        spec = solve(DimensionlessCase(B=B, l=l), Grid(**REF, n=n), count, eigenvectors=True)
+        assert spec.diagnostics["solver"] == "sturm"
+        assert spec.eigenvalues.shape == (count,) and spec.eigenvectors.shape == (n - 1, count)
 
     @pytest.mark.parametrize(
         "routine,failing",
         [
-            ("dpbstf", lambda bb: 1),
-            ("dsbgst", lambda ab, bb: 2),
-            ("dsbtrd", lambda ab, dsbtrd=numerov.dsbtrd: (*dsbtrd(ab)[:2], -5)),
-            ("dstebz", lambda *args: (*dstebz(*args)[:4], 1)),
-            ("dgttrf", lambda *args: (*dgttrf(*args)[:5], -3)),
+            ("dlaebz", lambda d, dlaebz=numerov.dlaebz: (dlaebz(d)[0], -9)),
+            ("dgttrf", lambda *args, **kwargs: (*dgttrf(*args, **kwargs)[:5], -3)),
         ],
     )
-    def test_tridiagonal_lapack_failures_raise_package_errors(self, routine, failing, monkeypatch):
-        # a nonzero LAPACK info from any step of the reduction or the bisection, a negative one from the polish
+    def test_lapack_failures_raise_package_errors(self, routine, failing, monkeypatch):
+        # a nonzero LAPACK info from a Sturm count, a negative one from a factorization
         monkeypatch.setattr(numerov, routine, failing)
         with pytest.raises(NonConvergenceError, match=routine):
             solve(DimensionlessCase(B=2.0, l=1), Grid(**REF, n=64), 4)
         with pytest.raises(NonConvergenceError, match=routine):
             tracked_level(DimensionlessCase(B=10.0, l=0), Grid(**REF, n=64))
 
-    def test_polish_through_an_exact_zero_pivot(self, monkeypatch):
-        # the bisected top level is a level of T to working precision: dgttrf reports U(n, n) = 0
-        infos = []
-
-        def spy(*args):
-            out = dgttrf(*args)
-            infos.append(out[-1])
-            return out
-
-        monkeypatch.setattr(numerov, "dgttrf", spy)
+    def test_iteration_through_an_exact_zero_pivot(self, monkeypatch):
+        # dgttrf reports U(n, n) = 0, a shift that is a level of T to working precision;
+        # a tiny pivot stands in for the zero one and the levels still settle
         case, g = DimensionlessCase(B=19.755906026997184, l=1), Grid(**REF, n=67)
+        reported = []
+
+        def singular(*args, **kwargs):
+            *factor, info = dgttrf(*args, **kwargs)
+            if not reported:
+                factor[1][-1], info = 0.0, len(factor[1])
+                reported.append(info)
+            return (*factor, info)
+
+        expected = solve(case, g, 66).eigenvalues
+        monkeypatch.setattr(numerov, "dgttrf", singular)
         spec = solve(case, g, 66, eigenvectors=True)
-        assert 66 in infos
+        assert reported == [66]
         w, psi = spec.eigenvalues, spec.eigenvectors
+        assert np.allclose(w, expected, rtol=1e-12, atol=1e-12)
         sys = assemble(case, g)
         assert sys.pencil_residual(float(w[-1]), psi[:, -1]) <= 1e-8 * abs(w[-1])
         assert np.allclose(psi.T @ psi, np.eye(66), rtol=0, atol=1e-12)
 
-    def test_band_bindings_take_only_fortran_float_bands(self):
-        _, m = assemble(DimensionlessCase(B=2.0, l=0), Grid(**REF, n=16)).pencil_bands()
-        for bad in (m, np.asfortranarray(m, dtype=np.float32), np.asfortranarray(m[1:])):
+    def test_dlaebz_counts_the_nonpositive_eigenvalues(self):
+        rng = np.random.default_rng(7)
+        for n in (1, 2, 7, 64):
+            d = rng.normal(0.0, 2.0, n)
+            assert numerov.dlaebz(d) == (int(np.sum(eigvalsh_tridiagonal(d, np.ones(n - 1)) <= 0.0)), 0)
+        # an infinite diagonal entry splits the matrix there and adds no eigenvalue <= 0
+        d = rng.normal(0.0, 2.0, 9)
+        d[4] = np.inf
+        split = [eigvalsh_tridiagonal(part, np.ones(len(part) - 1)) for part in (d[:4], d[5:])]
+        assert numerov.dlaebz(d)[0] == sum(int(np.sum(part <= 0.0)) for part in split)
+        for bad in (d.astype(np.float32), np.ones((2, 3)), np.ones(10)[::2]):
             with pytest.raises(ValueError):
-                numerov.dpbstf(bad)
-        assert numerov.dpbstf(np.asfortranarray(m)) == 0
-        assert numerov.dpbstf(np.asfortranarray(-m)) > 0  # not positive definite
+                numerov.dlaebz(bad)
 
     @pytest.mark.parametrize("n", [8, 64, 512, 2000])
-    def test_one_level_runs_neither_eigsh_nor_eigh(self, n, monkeypatch):
+    def test_one_level_runs_no_full_eigensolver(self, n, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("a one-level solve called a full eigensolver")
 
-        monkeypatch.setattr(numerov, "eigsh", forbidden)
+        monkeypatch.setattr(numerov, "eig", forbidden)
         monkeypatch.setattr(numerov, "eigh", forbidden)
         spec = solve(DimensionlessCase(B=2.0, l=0), Grid(**REF, n=n), 1, eigenvectors=True)
-        assert spec.diagnostics["solver"] == "inverse"
+        assert spec.diagnostics["solver"] == "sturm"
         assert spec.eigenvalues.shape == (1,) and spec.eigenvectors.shape == (n - 1, 1)
 
-    def test_inverse_iteration_that_never_settles_raises(self, monkeypatch):
-        # every other solve is scaled by 2, so theta = x^T (H - sigma)^{-1} x keeps jumping
-        scale = iter([1.0, 2.0] * numerov.INVERSE_MAX_SOLVES)
+    def test_iteration_that_never_settles_raises(self, monkeypatch):
+        # every solve returns NaN, so no estimate lies in a bracket: the counts split it
+        # down to adjacent floats and then give up
+        def broken_solve(*args, **kwargs):
+            x, info = dgttrs(*args, **kwargs)
+            return np.full_like(x, np.nan), info
 
-        def unsettled_solve(*args, **kwargs):
-            x, info = dpbtrs(*args, **kwargs)
-            return next(scale) * x, info
-
-        monkeypatch.setattr(numerov, "dpbtrs", unsettled_solve)
+        monkeypatch.setattr(numerov, "dgttrs", broken_solve)
         with pytest.raises(NonConvergenceError):
             solve(DimensionlessCase(B=5.0, l=2), Grid(**REF, n=64), 1)
 
@@ -362,12 +349,12 @@ class TestSpectrum:
     n=st.integers(8, 600),
     frac=st.floats(0.0, 1.0),
 )
-@example(B=0.0, l=0, n=8, frac=1.0)  # every level requested: the tridiagonal form
+@example(B=0.0, l=0, n=8, frac=1.0)  # every level requested
 @example(B=3.0, l=2, n=16, frac=1.0)
 @example(B=10.0, l=0, n=512, frac=15 / 510)  # Coulomb-collapsed row of the mesh table
 @example(B=10.0, l=0, n=8, frac=1.0)
-@example(B=3.0, l=2, n=600, frac=597 / 598)  # count 598 of 599: tridiagonal, ARPACK would need ncv = size
-@example(B=19.755906026997184, l=1, n=67, frac=1.0)  # the top level's shift leaves dgttrf an exact zero pivot
+@example(B=3.0, l=2, n=600, frac=597 / 598)  # count 598 of 599
+@example(B=19.755906026997184, l=1, n=67, frac=1.0)
 def test_solve_matches_dense_symmetric_operator(B, l, n, frac):
     """The lowest `count` levels equal those of a dense eigh of -Bhat^-1 Ahat + V."""
     size = n - 1
@@ -378,7 +365,7 @@ def test_solve_matches_dense_symmetric_operator(B, l, n, frac):
     ref = eigh(assemble(case, g).symmetric_operator(), eigvals_only=True)[:count]
     assert spec.eigenvalues.shape == (count,)
     assert np.all(np.abs(spec.eigenvalues - ref) <= 1e-10 * np.maximum(1.0, np.abs(ref)))
-    assert spec.diagnostics["solver"] == expected_solver(count, size)
+    assert spec.diagnostics["solver"] == "sturm"
     assert np.array_equal(spec.eigenvalues, solve(case, g, count).eigenvalues)
 
 
@@ -395,7 +382,7 @@ def test_one_level_by_inverse_iteration(B, l, n):
     spec = solve(case, g, 1, eigenvectors=True)
     a, psi = float(spec.eigenvalues[0]), spec.eigenvectors[:, 0]
     scale = max(1.0, abs(a))
-    assert spec.diagnostics["solver"] == "inverse"
+    assert spec.diagnostics["solver"] == "sturm"
     assert abs(a - solve(case, g, 2).eigenvalues[0]) <= 1e-12 * scale
     sys = assemble(case, g)
     assert abs(a - eigh(sys.symmetric_operator(), eigvals_only=True, subset_by_index=[0, 0])[0]) <= 1e-10 * scale
@@ -408,12 +395,12 @@ def test_one_level_by_inverse_iteration_on_the_default_grid():
     g = Grid(numerov.DEFAULT_Z_MIN, numerov.DEFAULT_Z_MAX, numerov.DEFAULT_N)
     spec = solve(case, g, 1)
     a = float(spec.eigenvalues[0])
-    assert spec.diagnostics["solver"] == "inverse"
+    assert spec.diagnostics["solver"] == "sturm"
     assert abs(a - solve(case, g, 2).eigenvalues[0]) <= 1e-12 * max(1.0, abs(a))
 
 
-# tracked levels of the 12 Table 1 rows on N = 8 ... 512, recorded from the
-# banded Lanczos engine before small meshes went to the dense pencil solve
+# tracked levels of the 12 Table 1 rows on N = 8 ... 512, recorded from an
+# earlier banded Lanczos engine
 TABLE1_NS = (8, 16, 32, 64, 128, 256, 512)
 TABLE1_TRACKED = {
     (0.0, 0): [2.8858023466197205, 2.3508729564301443, 2.3379962390556055, 2.3381032955833114, 2.3381164484165176, 2.3381173491590377, 2.338117406610392],
@@ -465,44 +452,6 @@ class TestGoldenValues:
         assert abs(spec.tracked_value() - (-0.37306)) < 1e-3
 
 
-def tracked_calls(case: DimensionlessCase, grid: Grid) -> tuple[float, dict]:
-    """The tracked level and how `tracked_level` solved its mesh's pencil, in order:
-    inverse iterations, Lanczos level counts, Sturm counts and bisected index ranges."""
-    calls = {"inverse": 0, "lanczos": [], "sturm": [], "bisect": []}
-    lowest, lanczos = numerov._lowest_level, numerov._lanczos_levels
-    sturm, bisect = numerov._Pencil.count_nonpositive, numerov._Pencil.bisect
-
-    def spy_lowest(pencil, eigenvectors):
-        calls["inverse"] += 1
-        return lowest(pencil, eigenvectors)
-
-    def spy_lanczos(pencil, count, eigenvectors):
-        calls["lanczos"].append(count)
-        return lanczos(pencil, count, eigenvectors)
-
-    def spy_sturm(pencil):
-        calls["sturm"].append(sturm(pencil))
-        return calls["sturm"][-1]
-
-    def spy_bisect(pencil, first, last):
-        calls["bisect"].append((first, last))
-        return bisect(pencil, first, last)
-
-    with (
-        mock.patch.object(numerov, "_lowest_level", spy_lowest),
-        mock.patch.object(numerov, "_lanczos_levels", spy_lanczos),
-        mock.patch.object(numerov._Pencil, "count_nonpositive", spy_sturm),
-        mock.patch.object(numerov._Pencil, "bisect", spy_bisect),
-    ):
-        value = tracked_level(case, grid)
-    return value, calls
-
-
-def k_positive_definite(case: DimensionlessCase, grid: Grid) -> bool:
-    """Whether K = Bhat H Bhat has a banded Cholesky factor."""
-    return dpbtrf(assemble(case, grid).pencil_bands()[0])[1] == 0
-
-
 def window_levels(case: DimensionlessCase, grid: Grid) -> np.ndarray:
     """The lowest `TRACKED_WINDOW` levels of a dense eigh of the symmetric operator."""
     window = min(numerov.TRACKED_WINDOW, grid.n - 1)
@@ -511,37 +460,29 @@ def window_levels(case: DimensionlessCase, grid: Grid) -> np.ndarray:
 
 @settings(max_examples=60, deadline=None)
 @given(B=st.floats(0.0, 200.0), l=st.integers(0, 3), n=st.integers(8, 600))
-@example(B=10.0, l=0, n=512)  # 3 negative levels, Lanczos: 2, then 4
-@example(B=100.0, l=0, n=512)  # every window level negative, Lanczos: 2, 4, 8, 16
-@example(B=10.0, l=0, n=256)  # 3 negative levels, tridiagonal: levels 3 and 4
-@example(B=200.0, l=0, n=8)  # window of 7, 5 negative: levels 5 and 6
-@example(B=500.0, l=0, n=16)  # window of 15, all negative: level 15 alone
-@example(B=103.4, l=0, n=283)  # a full-window Lanczos solve is 1.6e-12 off here
+@example(B=10.0, l=0, n=512)  # 3 negative levels
+@example(B=100.0, l=0, n=512)  # every window level negative
+@example(B=200.0, l=0, n=512)
+@example(B=10.0, l=0, n=256)  # 3 negative levels: level 3 or 4
+@example(B=5.0, l=0, n=16)  # level 1 or 2
+@example(B=100.0, l=0, n=256)  # the top of the window, level 16
+@example(B=200.0, l=0, n=8)  # window of 7, 5 negative: level 5 or 6
+@example(B=500.0, l=0, n=16)  # window of 15, all negative: level 15
+@example(B=103.4, l=0, n=283)
+@example(B=68.20490194171842, l=0, n=594)  # 2.1e-13 off, inside a rounding floor of 5.9e-13
 def test_tracked_level_matches_full_window(B, l, n):
-    """The tracked level is the exact smallest-|A| level of the stored pencil's window;
-    the solves that decide it follow the probe, the Sturm count or the doubling."""
+    """The tracked level is the exact smallest-|A| level of the stored pencil's window, within
+    2e-13 or the rounding floor of the stored entries, whichever is larger."""
     case = DimensionlessCase(B=B, l=l)
     g = Grid(**REF, n=n)
-    window = min(numerov.TRACKED_WINDOW, n - 1)
-    value, calls = tracked_calls(case, g)
     w = window_levels(case, g)
-    exact, _ = pencil_levels_exact(assemble(case, g), [int(np.argmin(np.abs(w)))])[0]
-    assert abs(value - exact) <= 1e-12 * max(1.0, abs(exact))
-    if k_positive_definite(case, g):
-        assert calls == {"inverse": 1, "lanczos": [], "sturm": [], "bisect": []}
-    elif n - 1 <= numerov.TRIDIAGONAL_MAX_SIZE:
-        m = calls["sturm"][0]
-        assert calls == {"inverse": 0, "lanczos": [], "sturm": [m], "bisect": [(max(1, min(m, window)), min(m + 1, window))]}
-    else:
-        counts = calls["lanczos"]
-        assert calls["inverse"] == 0 and calls["sturm"] == calls["bisect"] == []
-        assert counts[0] == 2 and max(counts) <= window
-        assert counts[1:] == [min(2 * c, window) for c in counts[:-1]]
+    exact, floor = pencil_levels_exact(assemble(case, g), [int(np.argmin(np.abs(w)))])[0]
+    assert abs(tracked_level(case, g) - exact) <= max(2e-13 * max(1.0, abs(exact)), floor)
 
 
 @settings(max_examples=25, deadline=None)
 @given(B=st.floats(0.0, 200.0), l=st.integers(0, 3), n=st.integers(8, 600))
-@example(B=103.4, l=0, n=283)  # a full-window Lanczos solve is 1.5e-12 off here
+@example(B=103.4, l=0, n=283)
 @example(B=152.32177498888973, l=1, n=553)  # the rounding floor is 8.1e-12 here
 def test_tracked_level_on_a_short_domain_is_within_the_rounding_floor(B, l, n):
     """On [1e-3, 5] fine meshes have 1/delta^2 up to 1.4e4, and rounding the
@@ -554,59 +495,133 @@ def test_tracked_level_on_a_short_domain_is_within_the_rounding_floor(B, l, n):
 
 
 class TestTrackedCounts:
-    """How `tracked_level` solves each mesh."""
+    """How `tracked_level` finds each mesh's level."""
 
-    def test_row_with_no_negative_level_solves_one_per_mesh(self):
-        case = DimensionlessCase(B=2.0, l=0)
-        calls = [tracked_calls(case, Grid(**REF, n=n))[1] for n in TABLE1_NS]
-        assert calls == [{"inverse": 1, "lanczos": [], "sturm": [], "bisect": []}] * len(TABLE1_NS)
+    @pytest.mark.parametrize("B,l", [(0.0, 0), (0.0, 2), (2.0, 0), (2.0, 1), (5.0, 2)])
+    def test_row_with_no_negative_level_settles_one_level_per_mesh(self, B, l, monkeypatch):
+        # level 1, found from the count at 0 or the potential's minimum: two counts at most
+        engines = []
+        init = numerov._Levels.__init__
+
+        def spy(self, system):
+            init(self, system)
+            engines.append(self)
+
+        monkeypatch.setattr(numerov._Levels, "__init__", spy)
+        case = DimensionlessCase(B=B, l=l)
+        for n in TABLE1_NS:
+            tracked_level(case, Grid(**REF, n=n))
+        assert [list(e.found) for e in engines] == [[1]] * len(TABLE1_NS)
+        assert all(e.counts <= 2 for e in engines)
 
     @pytest.mark.parametrize("B,l", list(TABLE1_TRACKED))
-    def test_probe_factors_k_exactly_when_every_level_is_positive(self, B, l):
+    def test_count_at_zero_is_the_number_of_negative_levels(self, B, l):
+        # exact on every Table 1 mesh, including the N = 8 and 16 meshes that straddle
+        # Numerov's stability bound at the far end
         case = DimensionlessCase(B=B, l=l)
         for n in TABLE1_NS:
             g = Grid(**REF, n=n)
-            assert k_positive_definite(case, g) == (solve(case, g, 1).eigenvalues[0] > 0.0)
+            assert levels_of(case, g).count_below(0.0) == int(np.sum(dense_levels(case, g) < 0.0))
+            assert (levels_of(case, g).count_below(0.0) == 0) == (solve(case, g, 1).eigenvalues[0] > 0.0)
 
     @pytest.mark.parametrize("B,l", list(TABLE1_TRACKED))
-    def test_sturm_count_is_the_number_of_negative_levels(self, B, l, monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("a small tracked mesh called a full eigensolver")
-
+    def test_table1_counts_repeat_exactly(self, B, l):
         case = DimensionlessCase(B=B, l=l)
-        small = [g for g in (Grid(**REF, n=n) for n in TABLE1_NS) if g.n - 1 <= numerov.TRIDIAGONAL_MAX_SIZE]
-        negative = [int(np.sum(window_levels(case, g) < 0.0)) for g in small]
-        monkeypatch.setattr(numerov, "eigsh", forbidden)
-        monkeypatch.setattr(numerov, "eigh", forbidden)
-        for g, count in zip(small, negative):
-            _, calls = tracked_calls(case, g)
-            assert calls["lanczos"] == []
-            if count:
-                assert calls["sturm"] == [count]
-            else:
-                assert calls == {"inverse": 1, "lanczos": [], "sturm": [], "bisect": []}
-
-    @pytest.mark.parametrize(
-        "B,n,expected",
-        [(10.0, 256, [(3, 4)]), (5.0, 16, [(1, 2)]), (200.0, 8, [(5, 6)]), (100.0, 256, [(16, 16)]), (500.0, 16, [(15, 15)])],  # the last two stop at the window
-    )
-    def test_small_mesh_bisects_the_levels_either_side_of_zero(self, B, n, expected):
-        _, calls = tracked_calls(DimensionlessCase(B=B, l=0), Grid(**REF, n=n))
-        assert calls["bisect"] == expected
-
-    @pytest.mark.parametrize(
-        "B,n,expected",
-        [(10.0, 512, [2, 4]), (100.0, 512, [2, 4, 8, 16]), (200.0, 512, [2, 4, 8, 16])],  # the last two stop at the window
-    )
-    def test_count_doubles_while_the_top_level_is_negative(self, B, n, expected):
-        _, calls = tracked_calls(DimensionlessCase(B=B, l=0), Grid(**REF, n=n))
-        assert calls["lanczos"] == expected
+        for n in TABLE1_NS:
+            first, second = levels_of(case, Grid(**REF, n=n)), levels_of(case, Grid(**REF, n=n))
+            window = min(numerov.TRACKED_WINDOW, n - 1)
+            assert first.tracked(window) == second.tracked(window)
+            assert (first.counts, first.factorizations, first.sigmas) == (second.counts, second.factorizations, second.sigmas)
 
 
-def test_band_reduction_routines_are_exported_by_scipy():
-    """The reduction calls dpbstf, dsbgst and dsbtrd through scipy's cython_lapack capsules."""
-    for name in ("dpbstf", "dsbgst", "dsbtrd"):
-        assert name in cython_lapack.__pyx_capi__
+def straddles(levels: "numerov._Levels", sigma: float) -> bool:
+    """Whether w = delta^2 (V - sigma) - 12 takes both signs on the mesh."""
+    w = levels.stability - levels.delta2 * sigma
+    return bool(np.any(w < 0.0) and np.any(w > 0.0))
+
+
+@st.composite
+def straddling_meshes(draw):
+    """A case and grid whose counts straddle Numerov's stability bound: N = 8 or 16 on
+    [1e-5, 20] at the far end, or l >= 4 on [1e-4, 50] at the centrifugal wall."""
+    if draw(st.booleans()):
+        case = DimensionlessCase(B=draw(st.floats(0.0, 20.0)), l=draw(st.integers(0, 3)))
+        return case, Grid(**REF, n=draw(st.sampled_from([8, 16])))
+    case = DimensionlessCase(B=draw(st.floats(0.0, 1500.0)), l=draw(st.integers(4, 10)))
+    return case, Grid(1e-4, 50.0, draw(st.integers(8, 699)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    mesh=straddling_meshes(),
+    where=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    near=st.sampled_from([None, -1.0, 1.0]),
+)
+@example(mesh=(DimensionlessCase(B=2.0, l=0), Grid(**REF, n=8)), where=0.5, near=None)
+@example(mesh=(DimensionlessCase(B=0.0, l=6), Grid(1e-4, 50.0, 512)), where=0.3, near=1.0)
+@example(mesh=(DimensionlessCase(B=1500.0, l=10), Grid(1e-4, 50.0, 699)), where=0.05, near=-1.0)
+def test_count_below_equals_dense_count(mesh, where, near):
+    """count_below(sigma) is the number of dense-eigh levels below sigma where w changes sign
+    along the mesh, also with sigma within 1e-10 (relative) of a level."""
+    case, g = mesh
+    ref = dense_levels(case, g)
+    levels = levels_of(case, g)
+    # w = delta^2 (V - sigma) - 12 takes both signs for sigma strictly between these
+    lo = max(ref[0] - 1.0, np.min(levels.stability) / levels.delta2)
+    hi = min(ref[-1] + 1.0, np.max(levels.stability) / levels.delta2)
+    assume(lo < hi)
+    if near is None:
+        sigma = lo + where * (hi - lo)
+    else:
+        inside = ref[(ref > lo) & (ref < hi)]
+        assume(len(inside))
+        level = inside[int(where * len(inside))]
+        sigma = level + near * 1e-10 * max(1.0, abs(level))
+    assume(straddles(levels, sigma))
+    assert levels.count_below(sigma) == int(np.sum(ref < sigma))
+
+
+@pytest.mark.parametrize("B,l,n", [(0.0, 0, 8), (2.0, 1, 8), (5.0, 0, 16)])
+def test_count_on_the_stability_bound(B, l, n):
+    """A sigma that puts a node exactly on Numerov's stability bound, w_i = 0, counts the levels
+    below it without a division warning."""
+    case, g = DimensionlessCase(B=B, l=l), Grid(**REF, n=n)
+    levels = levels_of(case, g)
+    i = int(np.argmax(levels.system.potential_values))  # the far end, where V is largest
+    sigma = levels.stability[i] / levels.delta2
+    for _ in range(200):
+        w = levels.stability[i] - levels.delta2 * sigma
+        if w == 0.0:
+            break
+        sigma = np.nextafter(sigma, np.inf if w > 0.0 else -np.inf)
+    assert levels.stability[i] - levels.delta2 * sigma == 0.0
+    assert straddles(levels, sigma - 1e-9)
+    ref = dense_levels(case, g)
+    assert 0 < np.sum(ref < sigma) < len(ref)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert levels.count_below(sigma) == int(np.sum(ref < sigma))
+
+
+@settings(max_examples=40, deadline=None)
+@given(B=st.floats(0.0, 200.0), l=st.integers(0, 6), n=st.integers(8, 700), frac=st.floats(0.0, 1.0))
+@example(B=100.0, l=0, n=512, frac=15 / 510)
+@example(B=0.0, l=6, n=700, frac=0.0)
+@example(B=2.0, l=0, n=8, frac=1.0)
+def test_solve_misses_no_level(B, l, n, frac):
+    """No level lies below the first one solve returns, and exactly `count` up to its last."""
+    count = 1 + round(frac * (n - 2))
+    case, g = DimensionlessCase(B=B, l=l), Grid(**REF, n=n)
+    w = solve(case, g, count).eigenvalues
+    tol = 1e-9 * np.maximum(1.0, np.abs(w))
+    levels = levels_of(case, g)
+    assert levels.count_below(w[0] - tol[0]) == 0
+    assert levels.count_below(w[-1] + tol[-1]) == count
+
+
+def test_sturm_routine_is_exported_by_scipy():
+    """The counts call dlaebz through scipy's cython_lapack capsule."""
+    assert "dlaebz" in cython_lapack.__pyx_capi__
 
 
 class TestConvergenceTable:
