@@ -3,8 +3,10 @@
 Subcommands:
   numerov   eigenvalues for one or more (B, l) cases, optionally as a
             mesh-convergence table
-  phase     phase-integral quantization for (B, l, s) cases
-  compare   full sweep comparing both methods, emitted as CSV/JSON
+  phase     phase-integral quantization for (B, l, s) cases, one walk
+            per (B, l) serving all its s values
+  compare   full sweep comparing both methods, emitted as CSV/JSON; one
+            Numerov solve and one phase walk per (B, l)
   rates     N_k (and optionally M_k) convergence rates from a value list,
             a CSV column, or a freshly computed convergence table
 
@@ -40,6 +42,7 @@ stderr; the other cases still run).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -119,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--values", type=_float_list, default=None, help="explicit eigenvalue sequence")
     p.add_argument("--csv", default=None, help="read the A_N column of a comparison CSV")
-    p.add_argument("--grids", type=_int_list, default=[8, 16, 32, 64, 128, 256, 512])
+    p.add_argument("--grids", type=_int_list, default=(8, 16, 32, 64, 128, 256, 512))
     p.add_argument("--ref", type=float, default=None, help="reference value: also print M_k")
     p.set_defaults(run=cmd_rates)
     return ap
@@ -211,12 +214,11 @@ def cmd_phase(args) -> int:
     results = []
     for B in config.B_values:
         for l in config.l_values:
-            for s in config.s_values:
-                try:
-                    res = phase_integral.quantize(DimensionlessCase(B=B, l=l, s=s, j=config.j))
-                except CornellboundError as exc:
+            levels = phase_integral.quantize_ladder(B, l, config.j, config.s_values)
+            for s, res in zip(config.s_values, levels):
+                if isinstance(res, CornellboundError):
                     failures += 1
-                    _report_failure(f"B={B:g} l={l} s={s}", exc)
+                    _report_failure(f"B={B:g} l={l} s={s}", res)
                     continue
                 u0 = res.u0.as_complex()
                 print(
@@ -240,9 +242,9 @@ def cmd_phase(args) -> int:
             }
             for r in results
         ]
+        text = json.dumps(payload, indent=2) + "\n"
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+            fh.write(text)
     return 2 if failures else 0
 
 
@@ -303,8 +305,18 @@ def cmd_rates(args) -> int:
     return 2 if failures else 0
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use.
+
+    Its defaults are shared by every parse, so no command mutates a parsed
+    value in place.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.run(args)
     except (DomainError, OSError, json.JSONDecodeError) as exc:

@@ -24,7 +24,10 @@ z^3 + B z - 2 (l+1/2)^2, where x1 = x2.  Below z* the zero x2 of -Q^2 is
 the inner one (x1 > x2), so no level lies there.  Above it the phase sum
 starts at 0 and rises, so the root is bracketed by walking up from z*, and
 Brent's method (`brentq`, a port of scipy's, so no scipy.optimize import)
-refines the last step from the residuals the walk already has.
+refines the last step from the residuals the walk already has.  The phase
+sum does not depend on s, so `quantize_ladder` brackets every s of one
+(B, l, j) in a single walk that passes the targets (s + 1/2) pi in order;
+`quantize` is its one-level ladder.
 """
 
 from __future__ import annotations
@@ -315,39 +318,96 @@ def brentq(f, a, b, xtol: float, rtol: float, *, f_a: float, f_b: float, maxiter
 def quantize(case: DimensionlessCase) -> QuantizationResult:
     """Solve the truncated quantization condition for the level of `case`.
 
-    Finds the x2 with L1 (+ L3 for j = 1) = (s + 1/2) pi by walking up
-    from just above the floor x2_floor(case), where the phase sum starts
-    at 0 and rises, in steps of STEP until it passes the target.  `brentq`
-    then refines the last step from the residuals the walk found at its
-    ends and returns the residual at the root, so the phase sum is
-    evaluated once per x2.  It reconstructs A and verifies the
-    boundary-term base point.
+    The one-level ladder of :func:`quantize_ladder`, walked for `case`
+    itself; its package error is raised instead of returned.
     """
-    target = (case.s + 0.5) * math.pi
+    (level,) = _climb([case])
+    if isinstance(level, CornellboundError):
+        raise level
+    return level
+
+
+def quantize_ladder(B: float, l: int, j: int, s_values) -> list[QuantizationResult | CornellboundError]:
+    """The levels s of one (B, l, j) ladder from a single walk up from the floor.
+
+    Returns one entry per entry of `s_values`, in the same order (a
+    repeated s gets the same entry): the level, or the package error that
+    level failed with, so one failed level leaves the others to finish.
+    Every level is the one `quantize` finds for it alone, bit for bit.
+    """
+    levels: dict = {}
+    cases = []
+    for s in sorted(set(s_values)):
+        try:
+            cases.append(DimensionlessCase(B=B, l=l, s=s, j=j))
+        except CornellboundError as exc:
+            levels[s] = exc
+    levels.update(zip((case.s for case in cases), _climb(cases)))
+    return [levels[s] for s in s_values]
+
+
+def _climb(cases: list[DimensionlessCase]) -> list[QuantizationResult | CornellboundError]:
+    """The levels of `cases`, one (B, l, j) ladder in ascending s, from one walk.
+
+    The phase sum does not depend on s and starts at 0 just above the
+    floor x2_floor, so one walk up in steps of STEP passes every target
+    (s + 1/2) pi in order, evaluating each x2 once.  A target the phase
+    sum is not below at the start fails with BracketError; the first step
+    whose end is not below a target hands that step and the residuals at
+    its ends to `_refine`.  A package error at a walk point is the error
+    of every level not yet bracketed, which would meet that point on its
+    own walk too.
+    """
+    if not cases:
+        return []
+    case, n = cases[0], len(cases)
+    targets = [(c.s + 0.5) * math.pi for c in cases]
+    levels: list = []
+    lo = x2_floor(case) * (1.0 + 1e-6)
+    try:
+        p_lo = _phase_sum(lo, case)
+        k = 0
+        while k < n and not p_lo - targets[k] < 0.0:
+            msg = f"phase sum not below the target at x2 = {lo}, just above the floor, for {cases[k]}"
+            levels.append(BracketError(msg))
+            k += 1
+        while k < n:
+            hi = lo * STEP
+            p_hi = _phase_sum(hi, case)
+            while k < n and not p_hi - targets[k] < 0.0:
+                levels.append(_refine(cases[k], targets[k], lo, p_lo - targets[k], hi, p_hi - targets[k]))
+                k += 1
+            lo, p_lo = hi, p_hi
+    except CornellboundError as exc:
+        levels += [exc] * (n - len(levels))
+    return levels
+
+
+def _refine(
+    case: DimensionlessCase, target: float, lo: float, f_lo: float, hi: float, f_hi: float
+) -> QuantizationResult | CornellboundError:
+    """The level of `case` in the walk step [lo, hi], or the package error it fails with.
+
+    `brentq` refines the step from the residuals the walk found at its
+    ends and returns the residual at the root; then A is reconstructed and
+    the boundary-term base point u0 found and verified.
+    """
 
     def phase_residual(x2: float) -> float:
         return _phase_sum(x2, case) - target
 
-    lo = x2_floor(case) * (1.0 + 1e-6)
-    f_lo = phase_residual(lo)
-    if not f_lo < 0.0:
-        raise BracketError(f"phase sum not below the target at x2 = {lo}, just above the floor, for {case}")
-    hi = lo * STEP
-    f_hi = phase_residual(hi)
-    while f_hi < 0.0:
-        lo, f_lo, hi = hi, f_hi, hi * STEP
-        f_hi = phase_residual(hi)
-
-    # xtol turns relative below x2 = 1, where deep Coulomb levels (x2 ~ 3.7/B)
-    # lie; an invalid point inside the bracket raises OrderingError/DomainError
-    # out of brentq
-    x2, f_x2 = brentq(phase_residual, lo, hi, xtol=XTOL * min(1.0, lo), rtol=RTOL, f_a=f_lo, f_b=f_hi)
-    residual = abs(f_x2)
-    if residual > RESIDUAL_TOL:
-        raise BracketError(f"quantization residual {residual} above {RESIDUAL_TOL}")
-
-    tp = turning_points_from_x2(x2, case)
-    u0, c_abs = solve_u0(tp.m, tp.alpha2)
+    try:
+        # xtol turns relative below x2 = 1, where deep Coulomb levels (x2 ~ 3.7/B)
+        # lie; an invalid point inside the bracket raises OrderingError/DomainError
+        # out of brentq
+        x2, f_x2 = brentq(phase_residual, lo, hi, xtol=XTOL * min(1.0, lo), rtol=RTOL, f_a=f_lo, f_b=f_hi)
+        residual = abs(f_x2)
+        if residual > RESIDUAL_TOL:
+            raise BracketError(f"quantization residual {residual} above {RESIDUAL_TOL}")
+        tp = turning_points_from_x2(x2, case)
+        u0, c_abs = solve_u0(tp.m, tp.alpha2)
+    except CornellboundError as exc:
+        return exc
     return QuantizationResult(
         case=case,
         x2=x2,

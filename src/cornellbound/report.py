@@ -145,17 +145,20 @@ def rate_M(values, A_ref: float) -> list[float]:
 
 def compare_case(B: float, l: int, s: int, j: int, A_N: float) -> ComparisonRow:
     """Quantize one case and pair it with a precomputed Numerov level."""
-    row = ComparisonRow(B=B, l=l, s=s, j=j, A_N=A_N)
-    try:
-        res = phase_integral.quantize(DimensionlessCase(B=B, l=l, s=s, j=j))
-    except CornellboundError as exc:
-        row.error = f"{type(exc).__name__}: {exc}"
+    (level,) = phase_integral.quantize_ladder(B, l, j, [s])
+    return _paired(ComparisonRow(B=B, l=l, s=s, j=j, A_N=A_N), level)
+
+
+def _paired(row: ComparisonRow, level) -> ComparisonRow:
+    """`row` with its phase-integral level, or the package error that level failed with."""
+    if isinstance(level, CornellboundError):
+        row.error = f"{type(level).__name__}: {level}"
         return row
-    row.A_PhI = res.A
-    row.delta_A = abs(A_N - res.A)
-    row.residual = res.residual
-    row.C_abs = res.C_abs
-    row.u0 = res.u0.as_complex()
+    row.A_PhI = level.A
+    row.delta_A = abs(row.A_N - level.A)
+    row.residual = level.residual
+    row.C_abs = level.C_abs
+    row.u0 = level.u0.as_complex()
     return row
 
 
@@ -163,27 +166,31 @@ def compare_sweep(config: RunConfig) -> list[ComparisonRow]:
     """One comparison row per (B, l, s, j) of the configured sweep.
 
     The Numerov spectrum for each (B, l) is computed once and indexed by s
-    (the s-th level is the s-th ascending eigenvalue).  Per-case failures
-    are recorded in the row instead of aborting the sweep; output order is
-    sorted by (B, l, s, j).  An empty `s_values` is a DomainError.
+    (the s-th level is the s-th ascending eigenvalue), and the
+    phase-integral levels of each (B, l, j) come from one ladder walk.
+    Per-case failures are recorded in the row instead of aborting the
+    sweep; output order is sorted by (B, l, s, j).  An empty `s_values` is
+    a DomainError.
     """
     if not config.s_values:
         raise DomainError("s_values must not be empty")
     grid = config.grid()
+    s_values = sorted(config.s_values)
     rows = []
     for B in sorted(config.B_values):
         for l in sorted(config.l_values):
-            count = max(config.s_values) + 1
             try:
-                spectrum = numerov.solve(DimensionlessCase(B=B, l=l), grid, count)
+                spectrum = numerov.solve(DimensionlessCase(B=B, l=l), grid, s_values[-1] + 1)
             except (DomainError, NonConvergenceError) as exc:
-                for s in sorted(config.s_values):
+                for s in s_values:
                     rows.append(
                         ComparisonRow(B=B, l=l, s=s, j=config.j, error=f"{type(exc).__name__}: {exc}")
                     )
                 continue
-            for s in sorted(config.s_values):
-                rows.append(compare_case(B, l, s, config.j, float(spectrum.eigenvalues[s])))
+            levels = phase_integral.quantize_ladder(B, l, config.j, s_values)
+            for s, level in zip(s_values, levels):
+                row = ComparisonRow(B=B, l=l, s=s, j=config.j, A_N=float(spectrum.eigenvalues[s]))
+                rows.append(_paired(row, level))
     rows.sort(key=lambda r: (r.B, r.l, r.s, r.j))
     return rows
 
@@ -238,6 +245,6 @@ def rows_to_json(rows: list[ComparisonRow]) -> list[dict]:
 def write_json(rows: list[ComparisonRow], path) -> None:
     """Full per-case diagnostics, one object per case."""
     payload = {"B_definition": B_DEFINITION, "cases": rows_to_json(rows)}
+    text = json.dumps(payload, indent=2, default=str) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, default=str)
-        fh.write("\n")
+        fh.write(text)

@@ -3,6 +3,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -131,14 +135,38 @@ class TestPhaseCommand:
         assert payload[0]["C_abs"] <= 1e-8
 
     def test_failure_exit_code(self, capsys, monkeypatch):
-        def boom(case):
-            raise BracketError("forced failure")
+        def boom(B, l, j, s_values):
+            return [BracketError("forced failure") for _ in s_values]
 
-        monkeypatch.setattr(phase_integral, "quantize", boom)
+        monkeypatch.setattr(phase_integral, "quantize_ladder", boom)
         code = run(["phase", "-B", "0", "-l", "0", "-s", "0"])
         err = capsys.readouterr().err
         assert code == 2
         assert "FAILED" in err
+
+    def test_repeated_and_unsorted_s_keep_their_order(self, capsys, tmp_path):
+        out_path = tmp_path / "levels.json"
+        assert run(["phase", "-B", "2", "-l", "1", "-s", "2,0,2", "--out", str(out_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        assert [line.split()[2] for line in lines] == ["s=2", "s=0", "s=2"]
+        assert lines[0] == lines[2]
+        payload = json.loads(out_path.read_text(encoding="utf-8"))
+        assert [p["s"] for p in payload] == [2, 0, 2]
+        for p in payload:
+            assert p["A"] == phase_integral.quantize(DimensionlessCase(B=2.0, l=1, s=p["s"], j=1)).A
+
+    def test_failed_level_is_reported_in_its_place(self, capsys, monkeypatch):
+        real = phase_integral.quantize_ladder
+
+        def fail_s0(B, l, j, s_values):
+            levels = real(B, l, j, s_values)
+            return [BracketError("forced failure") if s == 0 else res for s, res in zip(s_values, levels)]
+
+        monkeypatch.setattr(phase_integral, "quantize_ladder", fail_s0)
+        assert run(["phase", "-B", "2", "-l", "1", "-s", "1,0,2"]) == 2
+        captured = capsys.readouterr()
+        assert [line.split()[2] for line in captured.out.splitlines()[1:]] == ["s=1", "s=2"]
+        assert captured.err == "B=2 l=1 s=0  FAILED: forced failure\n"
 
     def test_no_bracket_fails_cleanly(self, capsys, monkeypatch):
         monkeypatch.setattr(phase_integral, "_phase_sum", lambda x2, case: (case.s + 0.5) * math.pi + 1.0)
@@ -360,28 +388,67 @@ class TestRatesCommand:
 
 class TestFailureTaxonomy:
     def test_non_package_error_escapes_phase(self, monkeypatch):
-        def bug(case):
+        def bug(B, l, j, s_values):
             raise TypeError("a bug, not a failed case")
 
-        monkeypatch.setattr(phase_integral, "quantize", bug)
+        monkeypatch.setattr(phase_integral, "quantize_ladder", bug)
         with pytest.raises(TypeError, match="a bug"):
             run(["phase", "-B", "0", "-l", "0", "-s", "0"])
 
     def test_non_package_error_escapes_compare_case(self, monkeypatch):
-        def bug(case):
+        def bug(B, l, j, s_values):
             raise TypeError("a bug, not a failed case")
 
-        monkeypatch.setattr(phase_integral, "quantize", bug)
+        monkeypatch.setattr(phase_integral, "quantize_ladder", bug)
         with pytest.raises(TypeError, match="a bug"):
             report.compare_case(0.0, 0, 0, 1, 2.338)
 
     def test_package_error_is_recorded_by_compare_case(self, monkeypatch):
-        def fail(case):
-            raise BracketError("forced failure")
+        def fail(B, l, j, s_values):
+            return [BracketError("forced failure") for _ in s_values]
 
-        monkeypatch.setattr(phase_integral, "quantize", fail)
+        monkeypatch.setattr(phase_integral, "quantize_ladder", fail)
         row = report.compare_case(0.0, 0, 0, 1, 2.338)
         assert row.error == "BracketError: forced failure"
+
+
+class TestOneParserPerProcess:
+    # rates twice: its --grids default is a parser default that every parse shares
+    RUNS = [
+        ["rates", "-B", "0", "-l", "0"],
+        ["phase", "-B", "2", "-l", "1", "-s", "2,0,2", "--out", "{out}/levels.json"],
+        ["compare", "-B", "0,2", "-l", "0", "-s", "0,1", "--grid", "600", "--zmax", "20", "--out", "{out}/table.csv"],
+        ["rates", "-B", "0", "-l", "0"],
+    ]
+
+    def test_main_parses_with_one_cached_parser(self):
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_runs_in_one_process_match_fresh_processes(self, tmp_path, capsys):
+        one, fresh = tmp_path / "one", tmp_path / "fresh"
+        one.mkdir()
+        fresh.mkdir()
+        in_process = []
+        for argv in self.RUNS:
+            code = cli.main([a.format(out=one) for a in argv])
+            captured = capsys.readouterr()
+            out, err = (text.replace(str(one), "OUT") for text in (captured.out, captured.err))
+            in_process.append((code, out, err))
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        separate = []
+        for argv in self.RUNS[:3]:
+            proc = subprocess.run(
+                [sys.executable, "-m", "cornellbound.cli", *[a.format(out=fresh) for a in argv]],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            out, err = (text.replace(str(fresh), "OUT") for text in (proc.stdout, proc.stderr))
+            separate.append((proc.returncode, out, err))
+        assert in_process == separate + separate[:1]
+        assert in_process[0][0] == 0 and "N_k" in in_process[0][1]
+        for name in ("levels.json", "table.csv", "table.csv.json"):
+            assert (one / name).read_bytes() == (fresh / name).read_bytes(), name
 
 
 class TestParser:

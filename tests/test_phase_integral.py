@@ -28,6 +28,7 @@ from cornellbound.phase_integral import (
     L3_coefficients,
     chi0_diagnostic,
     quantize,
+    quantize_ladder,
     solve_u0,
     solve_u0_kappas,
     turning_points_from_x2,
@@ -673,6 +674,142 @@ class TestBrent:
         assert pi_mod.brentq(f, 0.0, 1.0, 1e-14, pi_mod.RTOL, f_a=f(0.0), f_b=f(1.0))[0] == pytest.approx(0.3)
         with pytest.raises(NonConvergenceError, match="did not converge in 3 evaluations"):
             pi_mod.brentq(f, 0.0, 1.0, 1e-14, pi_mod.RTOL, f_a=f(0.0), f_b=f(1.0), maxiter=3)
+
+
+def _bits(level):
+    """A level as the bits of its outputs, or a failed level as its error type."""
+    if isinstance(level, CornellboundError):
+        return type(level)
+    return tuple(x.hex() for x in (level.A, level.x2, level.residual, level.u0.re, level.u0.im, level.C_abs))
+
+
+def _alone(B, l, j, s):
+    """The level quantize finds for (B, l, s, j) on its own walk, or its package error."""
+    try:
+        return quantize(DimensionlessCase(B=B, l=l, s=s, j=j))
+    except CornellboundError as exc:
+        return exc
+
+
+class TestLadder:
+    """One walk per (B, l, j) ladder gives the levels quantize gives one by one."""
+
+    @given(
+        B=st.floats(0.0, 2e3),
+        l=st.integers(0, 6),
+        j=st.sampled_from((0, 1)),
+        s_values=st.lists(st.integers(0, 15), min_size=1, max_size=5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_ladder_equals_per_level_quantize(self, B, l, j, s_values):
+        levels = quantize_ladder(B, l, j, s_values)
+        assert [_bits(level) for level in levels] == [_bits(_alone(B, l, j, s)) for s in s_values]
+        for s, level in zip(s_values, levels):
+            if not isinstance(level, CornellboundError):
+                assert level.case == DimensionlessCase(B=B, l=l, s=s, j=j)
+
+    @pytest.mark.parametrize("B,l,j", [(1e6, 2, 0), (1e9, 0, 1)])
+    def test_failed_levels_match_quantize(self, B, l, j):
+        # the u0 stage fails next to the pole of sn; each level keeps its own error
+        levels = quantize_ladder(B, l, j, [1, 0])
+        assert [_bits(level) for level in levels] == [NoValidRootError, NoValidRootError]
+        assert [_bits(level) for level in levels] == [_bits(_alone(B, l, j, s)) for s in (1, 0)]
+
+    def test_quantize_keeps_the_callers_case(self):
+        case = DimensionlessCase(B=2.0, l=1, s=1, j=1)
+        assert quantize(case).case is case
+
+    def test_repeated_and_unsorted_s(self):
+        levels = quantize_ladder(2.0, 1, 1, [2, 0, 2])
+        assert levels[0] is levels[2]
+        assert [level.case.s for level in levels] == [2, 0, 2]
+        assert [_bits(level) for level in levels] == [_bits(_alone(2.0, 1, 1, s)) for s in (2, 0, 2)]
+
+    def test_invalid_inputs_are_per_level_errors(self):
+        good, bad = quantize_ladder(2.0, 1, 1, [1, -1])
+        assert _bits(good) == _bits(_alone(2.0, 1, 1, 1))
+        assert isinstance(bad, DomainError)
+        assert all(isinstance(level, DomainError) for level in quantize_ladder(-1.0, 0, 1, [0, 1]))
+        assert quantize_ladder(2.0, 1, 1, []) == []
+
+    def test_each_walk_x2_evaluated_once(self, monkeypatch):
+        real_sum, real_brentq = pi_mod._phase_sum, pi_mod.brentq
+        walk, refine, in_brent = [], [], []
+
+        def counted(x2, case):
+            (refine if in_brent else walk).append(x2)
+            return real_sum(x2, case)
+
+        def brentq(*args, **kwargs):
+            in_brent.append(True)
+            try:
+                return real_brentq(*args, **kwargs)
+            finally:
+                in_brent.pop()
+
+        monkeypatch.setattr(pi_mod, "_phase_sum", counted)
+        monkeypatch.setattr(pi_mod, "brentq", brentq)
+        for B, l, j in [(2.0, 1, 0), (2.0, 1, 1), (0.0, 0, 1), (200.0, 0, 1)]:
+            walk.clear()
+            refine.clear()
+            levels = quantize_ladder(B, l, j, range(21))
+            assert len(walk) == len(set(walk)), (B, l, j)
+            assert all(level.x2 in refine or level.x2 in walk for level in levels)
+            ladder_walk = list(walk)
+            walk.clear()
+            quantize(DimensionlessCase(B=B, l=l, s=20, j=j))
+            # the ladder walks exactly the points its top level walks alone
+            assert ladder_walk == walk, (B, l, j)
+
+    def test_failed_level_leaves_the_rest(self, monkeypatch):
+        expected = {s: _bits(_alone(2.0, 1, 1, s)) for s in (0, 2)}
+        real, calls = pi_mod.solve_u0, []
+
+        def second_fails(m, alpha2):
+            calls.append(m)
+            if len(calls) == 2:
+                raise NoValidRootError("forced failure")
+            return real(m, alpha2)
+
+        monkeypatch.setattr(pi_mod, "solve_u0", second_fails)
+        # levels are finished in ascending s, so the second is s = 1
+        levels = quantize_ladder(2.0, 1, 1, [2, 0, 1])
+        assert [_bits(level) for level in levels] == [expected[2], expected[0], NoValidRootError]
+        assert str(levels[2]) == "forced failure"
+
+    def test_non_package_error_escapes(self, monkeypatch):
+        def bug(m, alpha2):
+            raise TypeError("a bug, not a failed level")
+
+        monkeypatch.setattr(pi_mod, "solve_u0", bug)
+        with pytest.raises(TypeError, match="a bug"):
+            quantize_ladder(2.0, 1, 1, [0, 1])
+
+    def test_walk_point_error_fails_every_level_not_yet_bracketed(self, monkeypatch):
+        first = quantize(DimensionlessCase(B=2.0, l=1, s=0, j=0))
+        cutoff = first.x2 * pi_mod.STEP**3  # above the first level's bracket, below the second level
+        real_tp = pi_mod.turning_points_from_x2
+
+        def turning_points(x2, case):
+            if x2 > cutoff:
+                raise OrderingError(f"no ordering at x2={x2}")
+            return real_tp(x2, case)
+
+        monkeypatch.setattr(pi_mod, "turning_points_from_x2", turning_points)
+        levels = quantize_ladder(2.0, 1, 0, [0, 1, 2])
+        assert _bits(levels[0]) == _bits(first)
+        assert [_bits(level) for level in levels[1:]] == [OrderingError, OrderingError]
+        assert [_bits(_alone(2.0, 1, 0, s)) for s in (1, 2)] == [OrderingError, OrderingError]
+
+    def test_targets_already_passed_at_the_floor_fail_alone(self, monkeypatch):
+        # a phase sum of 2 + ln(x2 / z*) starts above pi/2 but below 3 pi/2
+        floor = x2_floor(DimensionlessCase(B=2.0, l=1))
+        monkeypatch.setattr(pi_mod, "_phase_sum", lambda x2, case: 2.0 + math.log(x2 / floor))
+        levels = quantize_ladder(2.0, 1, 0, [0, 1])
+        assert isinstance(levels[0], BracketError)
+        assert "phase sum not below the target" in str(levels[0])
+        assert levels[1].residual <= pi_mod.RESIDUAL_TOL
+        assert [_bits(level) for level in levels] == [_bits(_alone(2.0, 1, 0, s)) for s in (0, 1)]
 
 
 class TestChi0:

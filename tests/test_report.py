@@ -6,7 +6,8 @@ import re
 
 import pytest
 
-from cornellbound.errors import DegenerateDifferenceError, DomainError
+from cornellbound import phase_integral
+from cornellbound.errors import BracketError, DegenerateDifferenceError, DomainError
 from cornellbound.model import DimensionlessCase
 from cornellbound.numerov import Grid, convergence_table
 from cornellbound.report import (
@@ -151,6 +152,37 @@ class TestCompare:
             assert r.error is None
             assert r.delta_A < 5e-3
 
+    def test_sweep_quantizes_one_ladder_per_pair(self, monkeypatch):
+        real, calls = phase_integral.quantize_ladder, []
+
+        def spy(B, l, j, s_values):
+            calls.append((B, l, j, list(s_values)))
+            return real(B, l, j, s_values)
+
+        monkeypatch.setattr(phase_integral, "quantize_ladder", spy)
+        cfg = RunConfig(B_values=[2.0, 0.0], l_values=[1], s_values=[2, 0, 2], z_min=1e-4, z_max=30.0, n=1200)
+        rows = compare_sweep(cfg)
+        assert calls == [(0.0, 1, 1, [0, 2, 2]), (2.0, 1, 1, [0, 2, 2])]
+        assert [(r.B, r.s) for r in rows] == [(0.0, 0), (0.0, 2), (0.0, 2), (2.0, 0), (2.0, 2), (2.0, 2)]
+        for r in rows:
+            alone = compare_case(r.B, r.l, r.s, r.j, r.A_N)
+            assert (r.A_PhI, r.delta_A, r.residual, r.C_abs, r.u0) == (
+                alone.A_PhI, alone.delta_A, alone.residual, alone.C_abs, alone.u0
+            )
+
+    def test_sweep_records_a_failed_level_and_keeps_the_rest(self, monkeypatch):
+        real = phase_integral.quantize_ladder
+
+        def fail_s1(B, l, j, s_values):
+            levels = real(B, l, j, s_values)
+            return [BracketError("forced failure") if s == 1 else res for s, res in zip(s_values, levels)]
+
+        monkeypatch.setattr(phase_integral, "quantize_ladder", fail_s1)
+        rows = compare_sweep(RunConfig(B_values=[0.0], l_values=[0], s_values=[0, 1, 2], z_max=20.0, n=600))
+        assert [r.error for r in rows] == [None, "BracketError: forced failure", None]
+        assert math.isnan(rows[1].A_PhI) and not math.isnan(rows[1].A_N)
+        assert rows[0].delta_A < 2e-2 and rows[2].delta_A < 2e-2
+
     def test_sweep_rejects_empty_s_values(self):
         with pytest.raises(DomainError, match="s_values must not be empty"):
             compare_sweep(RunConfig(B_values=[0.0], l_values=[0], s_values=[], n=100))
@@ -223,8 +255,57 @@ class TestSerialization:
         assert payload["cases"][0]["u0"] == {"re": 1.1, "im": 0.4}
         assert payload["cases"][1]["error"] is None
 
+    def test_json_text_is_pinned(self, tmp_path):
+        # one converged and one failed row of a (B, l) = (2, 1) sweep over s = 0, 1
+        rows = [
+            ComparisonRow(
+                B=2.0, l=1, s=0, j=1, A_N=2.23816, A_PhI=2.238189, delta_A=2.9e-5,
+                residual=1e-13, C_abs=3e-15, u0=complex(1.1, 0.4),
+            ),
+            ComparisonRow(B=2.0, l=1, s=1, j=1, A_N=4.01527, error="BracketError: forced failure"),
+        ]
+        path = tmp_path / "rows.json"
+        write_json(rows, path)
+        assert path.read_bytes().decode("utf-8") == JSON_TEXT
+
     def test_rows_to_json_keeps_errors(self):
         rows = [ComparisonRow(B=1.0, l=0, s=0, j=1, error="BracketError: no bracket")]
         out = rows_to_json(rows)
         assert out[0]["error"].startswith("BracketError")
         assert math.isnan(out[0]["A_PhI"])
+
+
+JSON_TEXT = """{
+  "B_definition": "B = (4*mass^2 / (hbar^4 * a))^(1/3) * b  (independent of the energy)",
+  "cases": [
+    {
+      "B": 2.0,
+      "l": 1,
+      "s": 0,
+      "j": 1,
+      "A_N": 2.23816,
+      "A_PhI": 2.238189,
+      "delta_A": 2.9e-05,
+      "residual": 1e-13,
+      "C_abs": 3e-15,
+      "error": null,
+      "u0": {
+        "re": 1.1,
+        "im": 0.4
+      }
+    },
+    {
+      "B": 2.0,
+      "l": 1,
+      "s": 1,
+      "j": 1,
+      "A_N": 4.01527,
+      "A_PhI": NaN,
+      "delta_A": NaN,
+      "residual": NaN,
+      "C_abs": NaN,
+      "error": "BracketError: forced failure"
+    }
+  ]
+}
+"""
