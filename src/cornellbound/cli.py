@@ -216,11 +216,14 @@ def cmd_phase(args) -> int:
         for l in config.l_values:
             levels = phase_integral.quantize_ladder(B, l, config.j, config.s_values)
             for s, res in zip(config.s_values, levels):
-                if isinstance(res, CornellboundError):
+                try:
+                    if isinstance(res, CornellboundError):
+                        raise res
+                    u0 = res.u0.as_complex()  # worked out on this first read
+                except CornellboundError as exc:
                     failures += 1
-                    _report_failure(f"B={B:g} l={l} s={s}", res)
+                    _report_failure(f"B={B:g} l={l} s={s}", exc)
                     continue
-                u0 = res.u0.as_complex()
                 print(
                     f"B={B:g} l={l} s={s} j={config.j}  A = {res.A:.10g}  "
                     f"x2 = {res.x2:.10g}  |C(u0)| = {res.C_abs:.2e}  "

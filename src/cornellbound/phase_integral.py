@@ -14,10 +14,10 @@ third-order correction L3 reduces to
 
     L3 = [Acal(m, a2) E(m) + Bcal(m, a2) K(m)] / (12 d^3 m alpha^2)
 
-once the complex base point u0 of the underlying contour is chosen so the
-boundary term C(u0, m, alpha^2) vanishes; u0 comes from a quadratic in
-sn^2(u0).  The level follows from solving L1 (+ L3) = (s + 1/2) pi for x2
-and A = x2 - B/x2 + (l+1/2)^2/x2^2.
+at a complex base point u0 of the contour where the boundary term
+C(u0, m, alpha^2) vanishes, which exists when a root x = sn^2(u0) of a
+quadratic keeps clear of 0, 1 and 1/m (`sn2_root`).  The level follows
+from solving L1 (+ L3) = (s + 1/2) pi for x2 and A = x2 - B/x2 + (l+1/2)^2/x2^2.
 
 The Langer potential A(x2) has its minimum at z*, the positive root of
 z^3 + B z - 2 (l+1/2)^2, where x1 = x2.  Below z* the zero x2 of -Q^2 is
@@ -36,6 +36,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -51,6 +52,7 @@ from .special import ellip_Pi  # noqa: F401  (benchmark traces wrap phase_integr
 C_TOL = 1e-8
 RESIDUAL_TOL = 1e-10
 DEGENERACY_TOL = 1e-10
+ROOT_TOL = 1e-10  # least |sn^2|, |cn^2| and |dn^2| at the root of sn2_root
 # ratio of consecutive x2 in the bracket walk: 120 steps per decade
 STEP = 10.0 ** (1.0 / 120.0)
 # Brent's stopping tolerances: xtol = XTOL * min(1, lower bracket end), and rtol
@@ -76,15 +78,20 @@ class TurningPoints:
 
 @dataclass(frozen=True)
 class QuantizationResult:
-    """A converged phase-integral level with its verification data."""
+    """A converged level; u0 and C_abs = |C(u0)| come from one `solve_u0` call on first read."""
 
     case: DimensionlessCase
     x2: float
     A: float
-    u0: ComplexPoint
     residual: float
-    C_abs: float
     turning_points: TurningPoints
+
+    @cached_property
+    def _base_point(self) -> tuple[ComplexPoint, float]:
+        return solve_u0(self.turning_points.m, self.turning_points.alpha2)
+
+    u0 = property(lambda self: self._base_point[0])
+    C_abs = property(lambda self: self._base_point[1])
 
 
 def turning_points_from_x2(x2: float, case: DimensionlessCase) -> TurningPoints:
@@ -179,7 +186,6 @@ def C_term(u0, m: float, alpha2: float) -> complex:
     """
     if abs(m - 1.0) < DEGENERACY_TOL:
         raise DomainError("C term degenerate at m = 1")
-    u0 = special._u_value(u0)
     sn, cn, dn = jacobi_complex(u0, m)
     if min(abs(sn), abs(cn), abs(dn)) < special.SINGULAR_TOL:
         raise special.SingularPointError(f"sn, cn, dn must be nonzero at u0 = {u0}")
@@ -196,26 +202,17 @@ def solve_u0_kappas(m: float, alpha2: float) -> tuple[float, float, float]:
     return k2, k1, k0
 
 
-def solve_u0(m: float, alpha2: float) -> tuple[ComplexPoint, float]:
-    """A base point u0 in [0, K] x [0, K'] with C(u0, m, alpha^2) = 0, and |C(u0)|.
+def sn2_root(m: float, alpha2: float) -> complex:
+    """The root x = sn^2(u0) of kappa2 x^2 + kappa1 x + kappa0, the numerator of C.
 
-    With x = sn^2(u0), C = [F + G x(1 - x)] / (sn cn dn), and the numerator
-    is kappa2 x^2 + kappa1 x + kappa0.  Since C(-u) = -C(u) and
-    C(conj u) = conj C(u), only w = sn(u0) in the closed first quadrant is
-    tried: the +disc root alone when the roots are a conjugate pair, the
-    +disc then the -disc root when they are real.  Each root is taken from
-    whichever of (-kappa1 +- disc) / (2 kappa2) and 2 kappa0 / (-kappa1 -+ disc)
-    divides by the sum that does not cancel (Numerical Recipes 5.6), so a
-    small kappa2 costs no accuracy; kappa2 = 0 leaves the one finite root.
-    The first candidate with |C| <= C_TOL wins, returned with its |C|.
+    sn maps [0, K] x [0, K'] onto the closed first quadrant, so a u0 with C(u0) = 0 exists
+    where sn^2, cn^2, dn^2 = x, 1 - x, 1 - m x are nonzero at a root.  The +disc root, then
+    the -disc one if real, is returned if all three are at least ROOT_TOL in magnitude, else
+    NoValidRootError; each is whichever of (-kappa1 +- disc)/(2 kappa2) and
+    2 kappa0/(-kappa1 -+ disc) does not cancel (Numerical Recipes 5.6).
     """
-    if abs(m - 1.0) < DEGENERACY_TOL:
-        # kappa2 = alpha^2 - 1, kappa1 = 0, kappa0 = 1 - alpha^2:
-        # sn^2(u0) = -1 zeroes the numerator, and sn(u0, 1) = i gives u0 = i pi/4.
-        return ComplexPoint(0.0, math.pi / 4.0), 0.0
     k2, k1, k0 = solve_u0_kappas(m, alpha2)
     disc = cmath.sqrt(complex(k1 * k1 - 4.0 * k0 * k2))
-    failures = []
     for d in (disc,) if disc.imag else (disc, -disc):
         top, bottom = -k1 + d, -k1 - d  # x = top / (2 kappa2) = 2 kappa0 / bottom
         if abs(bottom) > abs(top):
@@ -224,16 +221,26 @@ def solve_u0(m: float, alpha2: float) -> tuple[ComplexPoint, float]:
             x = top / (2.0 * k2)
         else:
             continue  # kappa2 = 0 puts this root at infinity
-        w = cmath.sqrt(complex(x.real, abs(x.imag)))
-        try:
-            u0 = special.inverse_sn(w, m)
-            c_abs = abs(C_term(u0, m, alpha2))
-            if c_abs <= C_TOL:
-                return u0, c_abs
-            failures.append((w, f"|C| = {c_abs:.3e}"))
-        except CornellboundError as exc:  # candidate invalid; try the next one
-            failures.append((w, repr(exc)))
-    raise NoValidRootError(f"no C = 0 base point for m={m}, alpha2={alpha2}: {failures}")
+        if min(abs(x), abs(1.0 - x), abs(1.0 - m * x)) >= ROOT_TOL:
+            return x
+    raise NoValidRootError(f"no C = 0 base point for m={m}, alpha2={alpha2}: every sn^2 root meets 0, 1 or 1/m")
+
+
+def solve_u0(m: float, alpha2: float) -> tuple[ComplexPoint, float]:
+    """A base point u0 in [0, K] x [0, K'] with C(u0, m, alpha^2) = 0, and |C(u0)|.
+
+    u0 inverts sn at the first-quadrant square root of sn2_root(m, alpha^2), enough
+    as C(-u) = -C(u) and C(conj u) = conj C(u); NoValidRootError if |C(u0)| > C_TOL.
+    """
+    if abs(m - 1.0) < DEGENERACY_TOL:
+        # kappa = (alpha^2 - 1, 0, 1 - alpha^2) vanishes at sn^2 = -1; sn(i pi/4 | 1) = i
+        return ComplexPoint(0.0, math.pi / 4.0), 0.0
+    x = sn2_root(m, alpha2)
+    u0 = special.inverse_sn(cmath.sqrt(complex(x.real, abs(x.imag))), m)
+    c_abs = abs(C_term(u0, m, alpha2))
+    if not c_abs <= C_TOL:
+        raise NoValidRootError(f"|C(u0)| = {c_abs:.3e} above {C_TOL} at u0 = {u0} for m={m}, alpha2={alpha2}")
+    return u0, c_abs
 
 
 def L3_closed(tp: TurningPoints) -> float:
@@ -389,8 +396,8 @@ def _refine(
     """The level of `case` in the walk step [lo, hi], or the package error it fails with.
 
     `brentq` refines the step from the residuals the walk found at its
-    ends and returns the residual at the root; then A is reconstructed and
-    the boundary-term base point u0 found and verified.
+    ends and returns the residual at the root; then A is reconstructed,
+    and at j = 1 the root of the base-point quadratic checked (`sn2_root`).
     """
 
     def phase_residual(x2: float) -> float:
@@ -405,18 +412,11 @@ def _refine(
         if residual > RESIDUAL_TOL:
             raise BracketError(f"quantization residual {residual} above {RESIDUAL_TOL}")
         tp = turning_points_from_x2(x2, case)
-        u0, c_abs = solve_u0(tp.m, tp.alpha2)
+        if case.j == 1:
+            sn2_root(tp.m, tp.alpha2)
     except CornellboundError as exc:
         return exc
-    return QuantizationResult(
-        case=case,
-        x2=x2,
-        A=A_from_x2(x2, case),
-        u0=u0,
-        residual=residual,
-        C_abs=c_abs,
-        turning_points=tp,
-    )
+    return QuantizationResult(case=case, x2=x2, A=A_from_x2(x2, case), residual=residual, turning_points=tp)
 
 
 def chi0_diagnostic(A: float, case: DimensionlessCase, z_samples) -> float:

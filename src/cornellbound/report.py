@@ -150,15 +150,19 @@ def compare_case(B: float, l: int, s: int, j: int, A_N: float) -> ComparisonRow:
 
 
 def _paired(row: ComparisonRow, level) -> ComparisonRow:
-    """`row` with its phase-integral level, or the package error that level failed with."""
-    if isinstance(level, CornellboundError):
-        row.error = f"{type(level).__name__}: {level}"
+    """`row` with its phase-integral level, or the package error that level or its u0 failed with."""
+    try:
+        if isinstance(level, CornellboundError):
+            raise level
+        u0 = level.u0.as_complex()  # worked out on this first read
+    except CornellboundError as exc:
+        row.error = f"{type(exc).__name__}: {exc}"
         return row
     row.A_PhI = level.A
     row.delta_A = abs(row.A_N - level.A)
     row.residual = level.residual
     row.C_abs = level.C_abs
-    row.u0 = level.u0.as_complex()
+    row.u0 = u0
     return row
 
 

@@ -6,7 +6,8 @@ and the principal inverse of sn.
 
 A complex argument u = x + iy is reduced to the real-argument triples at
 x (parameter m) and at y (the complementary parameter 1 - m) by
-Abramowitz & Stegun 16.21.  The inverse of sn is Carlson's form of F on
+Abramowitz & Stegun 16.21; near the lines Im u = +-K' it is applied at
+u -+ iK' and shifted back by A&S 16.8.  The inverse of sn is Carlson's form of F on
 the first quadrant of w, closed-form edge inverses on the real half-line
 w > 1, and the reflections of sn elsewhere, checked by one evaluation of
 sn.  All functions here are pure.
@@ -18,7 +19,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from scipy.special import ellipe, ellipj, ellipk, elliprf, elliprj
+from scipy.special import ellipe, ellipj, ellipk, ellipkm1, elliprf, elliprj
 
 from .errors import DomainError, NonConvergenceError, SingularPointError
 
@@ -107,10 +108,29 @@ def jacobi_complex(u, m) -> tuple[complex, complex, complex]:
 
     delta is a sum of squares that vanishes only at the poles
     2aK + i(2b + 1)K', quadratically in the distance to them, so
-    SingularPointError is raised where delta < SINGULAR_TOL^2.
+    SingularPointError is raised where delta < SINGULAR_TOL^2.  Near the
+    line Im u = K' the triple at y depends on the m that 1 - m rounds away,
+    so for |Im u| > K'/2 the formula is taken at t = u -+ iK' instead
+    (K' = ellipkm1(m), which stays finite as m -> 0) and shifted back by
+    A&S 16.8: sn(t + iK') = 1/(sqrt(m) sn t), cn = -i dn t/(sqrt(m) sn t)
+    and dn = -i cn t/sn t, conjugated for Im u < 0; the poles are then
+    where |sn t| < SINGULAR_TOL.
     """
     m = _m_value(m)
     u = _u_value(u)
+    kp = float(ellipkm1(m))
+    if abs(u.imag) > kp / 2.0:
+        sn, cn, dn = _jacobi_reduced(complex(u.real, abs(u.imag) - kp), m)
+        if abs(sn) < SINGULAR_TOL:
+            raise SingularPointError(f"u = {u} is too close to a pole of the Jacobi functions")
+        r = math.sqrt(m) * sn
+        shifted = (1.0 / r, -1j * dn / r, -1j * cn / sn)
+        return shifted if u.imag > 0.0 else tuple(z.conjugate() for z in shifted)
+    return _jacobi_reduced(u, m)
+
+
+def _jacobi_reduced(u: complex, m: float) -> tuple[complex, complex, complex]:
+    """A&S 16.21 at u for `jacobi_complex`."""
     s, c, d, _ = ellipj(u.real, m)
     s1, c1, d1, _ = ellipj(u.imag, 1.0 - m)
     den = float(c1 * c1 + m * (s * s1) ** 2)
@@ -152,7 +172,7 @@ def inverse_sn(w, m) -> ComplexPoint:
             u = complex(ellip_K(m), y)
         else:
             x = _carlson_F(min(1.0, 1.0 / (math.sqrt(m) * v.real)), m)
-            u = complex(x, ellip_K(1.0 - m))
+            u = complex(x, float(ellipkm1(m)))
     else:
         u = complex(_carlson_F(v, m))
     # w is v, conj v, -conj v or -v

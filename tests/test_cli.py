@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from cornellbound import cli, numerov, phase_integral, report
-from cornellbound.errors import BracketError, NonConvergenceError
+from cornellbound.errors import BracketError, NonConvergenceError, NoValidRootError
 from cornellbound.model import DimensionlessCase
 from cornellbound.numerov import Grid
 
@@ -177,11 +178,36 @@ class TestPhaseCommand:
         assert "Traceback" not in err
 
 
-    def test_extreme_coulomb_fails_cleanly(self, capsys):
-        code = run(["phase", "-B", "1e6", "-l", "2", "-s", "0", "--order", "0"])
+    def test_coulomb_end_levels_converge(self, capsys):
+        assert run(["phase", "-B", "1e4", "-l", "0,1,2", "-s", "0,1", "--order", "0"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert sum(line.startswith("B=10000 l=") and " j=0  A = " in line for line in lines) == 6
+        for order in ("0", "1"):
+            assert run(["phase", "-B", "1e9", "-l", "0", "-s", "0", "--order", order]) == 0
+            assert f"B=1e+09 l=0 s=0 j={order}  A = -2.5e+17" in capsys.readouterr().out
+
+    def test_degenerate_base_point_fails_cleanly(self, capsys, monkeypatch):
+        # a double root at sn^2(u0) = 1: the j = 1 level fails on its path,
+        # the j = 0 level when its u0 is read
+        monkeypatch.setattr(phase_integral, "solve_u0_kappas", lambda m, alpha2: (1.0, -2.0, 1.0))
+        for order in ("0", "1"):
+            code = run(["phase", "-B", "2", "-l", "1", "-s", "0,1", "--order", order])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert "B=2 l=1 s=0  FAILED: no C = 0 base point" in captured.err
+            assert "B=2 l=1 s=1  FAILED: no C = 0 base point" in captured.err
+            assert "Traceback" not in captured.err and " A = " not in captured.out
+
+    @pytest.mark.parametrize("command", [["phase"], ["compare", "--grid", "600"]])
+    def test_u0_read_failure_fails_cleanly(self, capsys, monkeypatch, command):
+        def no_base_point(m, alpha2):
+            raise NoValidRootError("forced failure")
+
+        monkeypatch.setattr(phase_integral, "solve_u0", no_base_point)
+        code = run([*command, "-B", "2", "-l", "1", "-s", "0"])
         err = capsys.readouterr().err
         assert code == 2
-        assert "B=1e+06 l=2 s=0  FAILED: no C = 0 base point" in err
+        assert re.search(r"^B=2 l=1 s=0 .*FAILED: .*forced failure$", err, re.M)
         assert "Traceback" not in err
 
     def test_config_round_trip(self, capsys, tmp_path):

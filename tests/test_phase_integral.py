@@ -29,6 +29,7 @@ from cornellbound.phase_integral import (
     chi0_diagnostic,
     quantize,
     quantize_ladder,
+    sn2_root,
     solve_u0,
     solve_u0_kappas,
     turning_points_from_x2,
@@ -238,13 +239,40 @@ class TestBasePoint:
         with pytest.raises(TypeError, match="a bug"):
             solve_u0(0.5, 0.3)
 
-    def test_u0_skips_branches_that_raise_package_errors(self, monkeypatch):
+    def test_u0_lets_package_errors_through(self, monkeypatch):
+        # one root, one inverse: a failed inverse is the base point's error
         def invalid(w, m):
             raise NonConvergenceError("forced failure")
 
         monkeypatch.setattr(pi_mod.special, "inverse_sn", invalid)
-        with pytest.raises(NoValidRootError, match="forced failure"):
+        with pytest.raises(NonConvergenceError, match="forced failure"):
             solve_u0(0.5, 0.3)
+
+    def test_u0_with_C_above_tolerance_raises(self, monkeypatch):
+        monkeypatch.setattr(pi_mod, "C_term", lambda u0, m, alpha2: 2.0 * pi_mod.C_TOL)
+        with pytest.raises(NoValidRootError, match="above"):
+            solve_u0(0.5, 0.3)
+
+    @pytest.mark.parametrize(
+        "kappas, m, expected",
+        [
+            ((1.0, -5.0, 6.0), 0.25, 3.0),  # roots 3 (+disc) and 2: the +disc root first
+            ((1.0, -1.5, 0.5), 0.25, 0.5),  # roots 1 (+disc, at cn = 0) and 0.5
+            ((1.0, 2.0, 0.0), 0.25, -2.0),  # roots 0 (+disc, at sn = 0) and -2
+            ((1.0, -6.0, 8.0), 0.25, 2.0),  # roots 4 (+disc, at dn = 0, x = 1/m) and 2
+            ((0.0, 1.0, -0.5), 0.25, 0.5),  # kappa2 = 0: the one finite root
+        ],
+    )
+    def test_sn2_root_skips_roots_at_zeros_of_sn_cn_dn(self, monkeypatch, kappas, m, expected):
+        monkeypatch.setattr(pi_mod, "solve_u0_kappas", lambda m, alpha2: kappas)
+        assert sn2_root(m, 0.3) == expected
+
+    @pytest.mark.parametrize("kappas", [(1.0, -2.0, 1.0), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0)])
+    def test_sn2_root_of_a_degenerate_quadratic_raises(self, monkeypatch, kappas):
+        # a double root at x = 1 or x = 0, or none at all
+        monkeypatch.setattr(pi_mod, "solve_u0_kappas", lambda m, alpha2: kappas)
+        with pytest.raises(NoValidRootError, match="no C = 0 base point"):
+            sn2_root(0.5, 0.3)
 
     @staticmethod
     def _assert_valid_u0(m, a2):
@@ -253,6 +281,7 @@ class TestBasePoint:
         sn, _, _ = jacobi_complex(u0, m)
         k2, k1, k0 = solve_u0_kappas(m, a2)
         x = sn * sn
+        assert abs(x - sn2_root(m, a2)) < 1e-9 * max(1.0, abs(x))
         scale = max(abs(k2), abs(k1), abs(k0))
         assert abs(k2 * x * x + k1 * x + k0) < 1e-7 * scale
         assert c_abs == abs(C_term(u0, m, a2)) <= pi_mod.C_TOL
@@ -399,11 +428,15 @@ class TestQuantize:
             assert res.C_abs <= pi_mod.C_TOL
             assert L1_quadrature(res.turning_points) == pytest.approx(math.pi / 2, abs=1e-9)
 
-    def test_extreme_coulomb_raises_package_error(self):
-        # the level converges, but sn(u0) ~ m^(-1/2) puts u0 next to the pole
-        # at iK', where inverse_sn misses its round-trip check
+    def test_degenerate_base_point_raises_package_error(self, monkeypatch):
+        # a double root at x = sn^2(u0) = 1, where cn vanishes: no base point
+        monkeypatch.setattr(pi_mod, "solve_u0_kappas", lambda m, alpha2: (1.0, -2.0, 1.0))
         with pytest.raises(NoValidRootError, match="no C = 0 base point"):
-            quantize(DimensionlessCase(B=1e6, l=2, s=0, j=0))
+            quantize(DimensionlessCase(B=2.0, l=1, s=0, j=1))
+        # at j = 0 the level needs no base point; reading u0 fails
+        res = quantize(DimensionlessCase(B=2.0, l=1, s=0, j=0))
+        with pytest.raises(NoValidRootError, match="no C = 0 base point"):
+            res.u0
 
     def test_ordering_error_inside_bracket_escapes(self, monkeypatch):
         # an x2 inside Brent's interval with no turning-point ordering must
@@ -485,33 +518,37 @@ class TestQuantizeScan:
         assert not [(x2, case) for x2, case in calls if x2 <= x2_floor(case)]
         assert len(calls) <= 250 * len(cases)
 
-    def test_jacobi_evaluations_per_level(self, monkeypatch):
-        # one in inverse_sn's check, one in solve_u0's C, which quantize reuses
+    def test_base_point_is_worked_out_only_when_read(self, monkeypatch):
+        # quantizing never enters the complex special functions; reading u0
+        # and then C_abs makes one solve_u0 call
         calls = []
-        real = special.jacobi_complex
 
-        def counted(u, m):
-            calls.append(u)
-            return real(u, m)
+        def counted(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
 
-        monkeypatch.setattr(special, "jacobi_complex", counted)
-        monkeypatch.setattr(pi_mod, "jacobi_complex", counted)
+            return wrapper
+
+        monkeypatch.setattr(pi_mod, "solve_u0", counted("solve_u0", pi_mod.solve_u0))
+        monkeypatch.setattr(special, "inverse_sn", counted("inverse_sn", special.inverse_sn))
+        monkeypatch.setattr(special, "jacobi_complex", counted("jacobi_complex", special.jacobi_complex))
+        monkeypatch.setattr(pi_mod, "jacobi_complex", special.jacobi_complex)
         cases = [DimensionlessCase(B=2.0, l=1, s=s, j=j) for s in range(21) for j in (0, 1)]
         cases += [DimensionlessCase(B=B, l=l, s=0, j=j) for B, l, _ in TABLE2_J0 for j in (0, 1)]
         for case in cases:
-            before = len(calls)
-            quantize(case)
-            assert len(calls) - before <= 2, case
+            res = quantize(case)
+            assert calls == [], case
+            u0, c_abs = res.u0, res.C_abs
+            assert calls.count("solve_u0") == 1, case
+            assert (res.u0, res.C_abs) == (u0, c_abs) and calls.count("solve_u0") == 1
+            calls.clear()
 
     @pytest.mark.parametrize("B", [1e7, 1e9])
     def test_scan_brackets_levels_below_1e_6(self, B):
         # the deep Coulomb level sits near x2 = 3.7/B, below the grid's old start at 1e-6
-        try:
-            quantize(DimensionlessCase(B=B, l=0, s=0, j=0))
-        except BracketError as exc:
-            assert "no quantization bracket found" not in str(exc)
-        except NoValidRootError:
-            pass  # the u0 stage still fails this close to the pole of sn
+        res = quantize(DimensionlessCase(B=B, l=0, s=0, j=0))
+        assert res.x2 < 1e-6 and res.C_abs <= pi_mod.C_TOL
 
     @pytest.mark.parametrize("B,l,s,j,A,x2", PINNED_LEVELS)
     def test_pinned_levels(self, B, l, s, j, A, x2):
@@ -565,9 +602,7 @@ class TestBracketWalk:
     @pytest.mark.parametrize("j", [0, 1])
     @pytest.mark.parametrize("B", [1e7, 1e8, 1e9])
     def test_deep_coulomb_level_meets_the_residual_tolerance(self, monkeypatch, B, j):
-        # Brent's tolerance follows x2 ~ 3.7/B; the u0 stage still fails this
-        # close to the pole of sn, so it is stubbed out
-        monkeypatch.setattr(pi_mod, "solve_u0", lambda m, alpha2: (special.ComplexPoint(0.0), 0.0))
+        # Brent's tolerance follows x2 ~ 3.7/B
         calls = _recording_brentq(monkeypatch)
         res = quantize(DimensionlessCase(B=B, l=0, s=0, j=j))
         assert res.residual <= pi_mod.RESIDUAL_TOL
@@ -603,10 +638,7 @@ class TestBrent:
     def test_quantize_root_equals_scipy(self, B, l, s, j):
         with pytest.MonkeyPatch.context() as mp:
             calls = _recording_brentq(mp)
-            try:
-                quantize(DimensionlessCase(B=B, l=l, s=s, j=j))
-            except NoValidRootError:
-                pass  # the u0 stage fails from B ~ 1e3 at l = 0; the root came first
+            quantize(DimensionlessCase(B=B, l=l, s=s, j=j))
         assert len(calls) == 1
         _assert_same_root_as_scipy(calls[0])
 
@@ -695,7 +727,7 @@ class TestLadder:
     """One walk per (B, l, j) ladder gives the levels quantize gives one by one."""
 
     @given(
-        B=st.floats(0.0, 2e3),
+        B=st.floats(0.0, 1e9),
         l=st.integers(0, 6),
         j=st.sampled_from((0, 1)),
         s_values=st.lists(st.integers(0, 15), min_size=1, max_size=5),
@@ -708,12 +740,14 @@ class TestLadder:
             if not isinstance(level, CornellboundError):
                 assert level.case == DimensionlessCase(B=B, l=l, s=s, j=j)
 
-    @pytest.mark.parametrize("B,l,j", [(1e6, 2, 0), (1e9, 0, 1)])
-    def test_failed_levels_match_quantize(self, B, l, j):
-        # the u0 stage fails next to the pole of sn; each level keeps its own error
-        levels = quantize_ladder(B, l, j, [1, 0])
+    @pytest.mark.parametrize("B,l", [(2.0, 1), (1e6, 2), (1e9, 0)])
+    def test_failed_levels_match_quantize(self, monkeypatch, B, l):
+        # a double root at sn^2(u0) = 1 leaves no base point; each level keeps its own error
+        monkeypatch.setattr(pi_mod, "solve_u0_kappas", lambda m, alpha2: (1.0, -2.0, 1.0))
+        levels = quantize_ladder(B, l, 1, [1, 0])
         assert [_bits(level) for level in levels] == [NoValidRootError, NoValidRootError]
-        assert [_bits(level) for level in levels] == [_bits(_alone(B, l, j, s)) for s in (1, 0)]
+        assert [_bits(level) for level in levels] == [_bits(_alone(B, l, 1, s)) for s in (1, 0)]
+        assert levels[0] is not levels[1]
 
     def test_quantize_keeps_the_callers_case(self):
         case = DimensionlessCase(B=2.0, l=1, s=1, j=1)
@@ -763,7 +797,7 @@ class TestLadder:
 
     def test_failed_level_leaves_the_rest(self, monkeypatch):
         expected = {s: _bits(_alone(2.0, 1, 1, s)) for s in (0, 2)}
-        real, calls = pi_mod.solve_u0, []
+        real, calls = pi_mod.sn2_root, []
 
         def second_fails(m, alpha2):
             calls.append(m)
@@ -771,7 +805,7 @@ class TestLadder:
                 raise NoValidRootError("forced failure")
             return real(m, alpha2)
 
-        monkeypatch.setattr(pi_mod, "solve_u0", second_fails)
+        monkeypatch.setattr(pi_mod, "sn2_root", second_fails)
         # levels are finished in ascending s, so the second is s = 1
         levels = quantize_ladder(2.0, 1, 1, [2, 0, 1])
         assert [_bits(level) for level in levels] == [expected[2], expected[0], NoValidRootError]
@@ -781,7 +815,7 @@ class TestLadder:
         def bug(m, alpha2):
             raise TypeError("a bug, not a failed level")
 
-        monkeypatch.setattr(pi_mod, "solve_u0", bug)
+        monkeypatch.setattr(pi_mod, "sn2_root", bug)
         with pytest.raises(TypeError, match="a bug"):
             quantize_ladder(2.0, 1, 1, [0, 1])
 
@@ -810,6 +844,29 @@ class TestLadder:
         assert "phase sum not below the target" in str(levels[0])
         assert levels[1].residual <= pi_mod.RESIDUAL_TOL
         assert [_bits(level) for level in levels] == [_bits(_alone(2.0, 1, 0, s)) for s in (0, 1)]
+
+
+# B from 0 to the hydrogenic end, where sn(u0) ~ m^(-1/2) puts u0 next to the pole at iK'
+PROBE_B = [0.0] + [10.0**k for k in (0, 0.5, 1, 1.5, 2, 2.5, 3, 3.5, 4, 5, 6, 7, 8, 8.5, 9)]
+
+
+class TestCoulombEnd:
+    """Every level converges and has its base point up to B = 1e9."""
+
+    @pytest.mark.parametrize("B", PROBE_B)
+    def test_probe_grid_levels_converge_and_read_u0(self, B):
+        for l in (0, 1, 2, 5):
+            for j in (0, 1):
+                for s, level in zip((0, 1, 5, 20), quantize_ladder(B, l, j, [0, 1, 5, 20])):
+                    assert not isinstance(level, CornellboundError), (B, l, s, j, level)
+                    assert level.residual <= pi_mod.RESIDUAL_TOL
+                    assert level.C_abs <= pi_mod.C_TOL, (B, l, s, j)
+
+    @pytest.mark.parametrize("B", [1e3, 1e4, 1e6, 1e9])
+    def test_hydrogenic_third_order(self, B):
+        # -B^2/4 plus the first-order shift <z> = 3/B
+        res = quantize(DimensionlessCase(B=B, l=0, s=0, j=1))
+        assert res.A == pytest.approx(-(B**2) / 4.0 + 3.0 / B, rel=1e-15, abs=0)
 
 
 class TestChi0:

@@ -7,7 +7,7 @@ import re
 import pytest
 
 from cornellbound import phase_integral
-from cornellbound.errors import BracketError, DegenerateDifferenceError, DomainError
+from cornellbound.errors import BracketError, DegenerateDifferenceError, DomainError, NoValidRootError
 from cornellbound.model import DimensionlessCase
 from cornellbound.numerov import Grid, convergence_table
 from cornellbound.report import (
@@ -182,6 +182,16 @@ class TestCompare:
         assert [r.error for r in rows] == [None, "BracketError: forced failure", None]
         assert math.isnan(rows[1].A_PhI) and not math.isnan(rows[1].A_N)
         assert rows[0].delta_A < 2e-2 and rows[2].delta_A < 2e-2
+
+    def test_sweep_records_a_failed_u0_read(self, monkeypatch):
+        # u0 is worked out when the row reads it; its failure is that row's error
+        def no_base_point(m, alpha2):
+            raise NoValidRootError("forced failure")
+
+        monkeypatch.setattr(phase_integral, "solve_u0", no_base_point)
+        rows = compare_sweep(RunConfig(B_values=[0.0], l_values=[0], s_values=[0, 1], z_max=20.0, n=600))
+        assert [r.error for r in rows] == ["NoValidRootError: forced failure"] * 2
+        assert all(math.isnan(r.A_PhI) and r.u0 is None and not math.isnan(r.A_N) for r in rows)
 
     def test_sweep_rejects_empty_s_values(self):
         with pytest.raises(DomainError, match="s_values must not be empty"):

@@ -4,10 +4,12 @@ in `oracles` (built on the library's complex Jacobi functions)."""
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ellipkm1
 
 import oracles
 from cornellbound import special
@@ -143,6 +145,20 @@ class TestJacobiComplex:
             ref = oracles.jacobi_mp(u, m)
             for x, y in zip(mine, ref):
                 assert abs(x - y) < 1e-10 * max(1.0, abs(y))
+
+    @pytest.mark.parametrize("m", [1e-26, 1e-16, 1e-8, 1e-3, 0.3, 0.9])
+    def test_near_the_pole_line_against_mpmath(self, m):
+        # around Im u = +-K' the triple at Im u with parameter 1 - m cannot
+        # carry m once 1 - m rounds to 1, so the shift by iK' must
+        kp, K = float(ellipkm1(m)), ellip_K(m)
+        for x in (0.3 * K, 0.785, 0.97 * K, -1.1):
+            for d in (-0.45, -0.1, -1e-3, 1e-3, 0.1, 0.45):
+                for sign in (1.0, -1.0):
+                    u = complex(x, sign * (kp + d * min(1.0, kp)))
+                    with mp.workdps(40):
+                        ref = oracles.jacobi_mp(u, m)
+                    for got, want in zip(jacobi_complex(u, m), ref):
+                        assert abs(got - want) < 1e-13 * max(1.0, abs(want)), (u, m)
 
     def test_complex_identities(self):
         rng = np.random.default_rng(3)
@@ -280,6 +296,15 @@ class TestInverseSn:
             u = inverse_sn(w, m)
             sn, _, _ = jacobi_complex(u, m)
             assert abs(sn - w) < 1e-12 * max(1.0, abs(w))
+
+    @pytest.mark.parametrize("m", [1e-26, 1e-20])
+    def test_edge_above_the_pole_line_at_tiny_m(self, m):
+        # real w > 1/sqrt(m) lies on sn(x + iK') = 1/(sqrt(m) sn x), with K'
+        # finite although 1 - m rounds to 1
+        w = 10.0 / math.sqrt(m)
+        u = inverse_sn(w, m).as_complex()
+        assert u.imag == float(ellipkm1(m))
+        assert abs(jacobi_complex(u, m)[0] - w) <= 1e-12 * w
 
     def test_wrong_inverse_is_rejected(self, monkeypatch):
         # the one evaluation of sn after the closed form is a real check
