@@ -17,6 +17,8 @@ condition for the phase-integral base function.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +46,16 @@ class PhysicalParams:
             raise DomainError("hbar must be positive")
 
 
+def is_real(x) -> bool:
+    """A finite real number, numpy scalars included, but not a bool."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def is_int(x) -> bool:
+    """An integer, numpy scalars included, but not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class DimensionlessCase:
     """One quantization problem: Coulomb strength B, angular momentum l,
@@ -55,14 +67,14 @@ class DimensionlessCase:
     j: int = 1
 
     def __post_init__(self):
-        if self.B < 0:
-            raise DomainError("B must be non-negative")
-        if not (isinstance(self.l, (int, np.integer)) and self.l >= 0):
-            raise DomainError("l must be a non-negative integer")
-        if not (isinstance(self.s, (int, np.integer)) and self.s >= 0):
-            raise DomainError("s must be a non-negative integer")
-        if self.j not in (0, 1):
-            raise DomainError("truncation order j must be 0 or 1")
+        if not (is_real(self.B) and self.B >= 0):
+            raise DomainError(f"B must be a finite non-negative number, got {self.B!r}")
+        if not (is_int(self.l) and self.l >= 0):
+            raise DomainError(f"l must be a non-negative integer, got {self.l!r}")
+        if not (is_int(self.s) and self.s >= 0):
+            raise DomainError(f"s must be a non-negative integer, got {self.s!r}")
+        if not (is_int(self.j) and self.j in (0, 1)):
+            raise DomainError(f"truncation order j must be 0 or 1, got {self.j!r}")
 
     @property
     def nu(self) -> float:

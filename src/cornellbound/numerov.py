@@ -24,11 +24,11 @@ mesh, also where w changes sign along it:
 
 where S(sigma) is symmetric tridiagonal with diagonal 10 + 144/w_i and
 off-diagonal 1 (delta^2 Bhat + C^{-1} = delta^2 S(sigma) / 12).  One Sturm
-sequence of S(sigma), LAPACK `dlaebz`, costs O(n) (Barth, Martin &
-Wilkinson, Numer. Math. 9, 386 (1967)).  A node on Numerov's stability
-bound, w_i = 0, gets the diagonal entry +inf: the limit w_i -> 0+, that is
-sigma approached from below, which is what a count of the levels below
-sigma needs.  `dlaebz` carries it through, since the next pivot loses its
+count of S(sigma), LAPACK `dstebz`, costs O(n) (Barth, Martin & Wilkinson,
+Numer. Math. 9, 386 (1967)).  A node on Numerov's stability bound, w_i = 0,
+gets the diagonal entry +inf: the limit w_i -> 0+, that is sigma approached
+from below, which is what a count of the levels below sigma needs.
+`dstebz` splits the matrix there, as the recurrence drops the next pivot's
 1/inf term.
 
 Settling.  T(a) = -Ahat + Bhat (V - a) = Bhat (H - a) is tridiagonal, so
@@ -48,26 +48,25 @@ its spectrum in (0, 6/delta^2).
 The dense matrices of the original pencil and of the symmetric operator
 (`kinetic_matrix`, `b_matrix`, `left_matrix`, `symmetric_operator`) and
 the `eig` and `eigh` imports have no production caller.  They stay because
-the tests use the matrices as an independent reference (`pencil_residual`
-checks eigenvectors against them) and the benchmark tracer wraps all of
-them by name.
+the tests use the matrices as an independent reference (the pencil
+residual in `tests/oracles.py` checks eigenvectors against them) and the
+benchmark tracer wraps all of them by name.
 """
 
 from __future__ import annotations
 
 import bisect
-import ctypes
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import cython_lapack, solve_banded
+from scipy.linalg import solve_banded
 from scipy.linalg import eig, eigh  # noqa: F401  (benchmark traces wrap numerov.eig and numerov.eigh by name)
-from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
+from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs, dstebz
 
 from .errors import DomainError, NonConvergenceError
-from .model import DimensionlessCase, R_of_z
+from .model import DimensionlessCase, R_of_z, is_int, is_real
 
 #: inverse-iteration solves at a fixed shift before Rayleigh-quotient iteration moves it
 FIXED_SHIFT_SOLVES = 3
@@ -109,6 +108,8 @@ class Grid:
     n: int
 
     def __post_init__(self):
+        if not (is_real(self.z_min) and is_real(self.z_max) and is_int(self.n)):
+            raise DomainError(f"need finite z_min, z_max and an integer n, got {self.z_min!r}, {self.z_max!r}, {self.n!r}")
         if self.z_min <= 0.0:
             raise DomainError("z_min must be strictly positive")
         if self.z_max <= self.z_min:
@@ -180,11 +181,6 @@ class NumerovSystem:
         c = -binv_a + np.diag(self.potential_values)
         return 0.5 * (c + c.T)
 
-    def pencil_residual(self, eigenvalue: float, vector: np.ndarray) -> float:
-        """Max row residual of (-Ahat + Bhat Vhat) psi = A Bhat psi."""
-        r = self.left_matrix() @ vector - eigenvalue * (self.b_matrix() @ vector)
-        return float(np.max(np.abs(r)))
-
 
 @dataclass
 class Spectrum:
@@ -221,22 +217,9 @@ def assemble(case: DimensionlessCase, grid: Grid) -> NumerovSystem:
     return NumerovSystem(grid=grid, potential_values=v, a_main=-2.0 / d2, a_off=1.0 / d2)
 
 
-def _bind_lapack(name: str, *argtypes):
-    """A LAPACK routine that scipy.linalg.lapack does not wrap, called through ctypes.
-
-    scipy exports every LAPACK routine it links as a C function pointer in
-    `cython_lapack.__pyx_capi__` (plain C arguments, no hidden string lengths).
-    """
-    capsule = cython_lapack.__pyx_capi__[name]
-    # own prototypes, so the shared ctypes.pythonapi functions keep their argtypes
-    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))
-    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(("PyCapsule_GetPointer", ctypes.pythonapi))
-    return ctypes.CFUNCTYPE(None, *argtypes)(get_pointer(capsule, get_name(capsule)))
-
-
-_INT, _DOUBLE, _ARRAY = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double), ctypes.c_void_p
-# IJOB, NITMAX, N, MMAX, MINP, NBMIN; ABSTOL, RELTOL, PIVMIN; D, E, E2, NVAL, AB, C; MOUT; NAB, WORK, IWORK; INFO
-_DLAEBZ = _bind_lapack("dlaebz", *[_INT] * 6, *[_DOUBLE] * 3, *[_ARRAY] * 6, _INT, *[_ARRAY] * 3, _INT)
+def _check_info(routine: str, info: int) -> None:
+    if info:
+        raise NonConvergenceError(f"LAPACK {routine} failed with info = {info}")
 
 
 @lru_cache(maxsize=16)
@@ -246,35 +229,23 @@ def _ones(n: int) -> np.ndarray:
     return out
 
 
-_ONE, _ZERO = ctypes.c_int(1), ctypes.c_int(0)  # arguments dlaebz only reads
-_NO_TOL, _PIVMIN = ctypes.c_double(0.0), ctypes.c_double(np.finfo(float).tiny)
-
-
-def dlaebz(d: np.ndarray) -> tuple[int, int]:
+def nonpositive_count(d: np.ndarray) -> int:
     """The number of eigenvalues <= 0 of the symmetric tridiagonal matrix with
-    diagonal `d` and off-diagonal 1, by one Sturm sequence; LAPACK's info.
+    diagonal `d` and off-diagonal 1, by one Sturm count.
 
-    LAPACK's `dlaebz` with IJOB = 1 counts at both ends of one interval,
-    here [0, 0]; a pivot smaller than the least normal number counts as
-    negative, and an infinite diagonal entry passes through.
+    LAPACK's `dstebz` counts the eigenvalues in (0, inf]; with an infinite
+    tolerance every interval has converged at the first count, so no
+    bisection step runs.  A pivot smaller than the least normal number
+    counts as negative, and an infinite diagonal entry splits the matrix
+    there, unless a neighbour is exactly 0 (in S(sigma), w within a few ulps
+    of -14.4): `dstebz` then fails, a NonConvergenceError.  Eigenvalues are
+    ordered by block (`B`): only their number is read, and the full sort
+    (`E`) is quadratic in it once the matrix splits.
     """
-    if d.dtype != np.float64 or d.ndim != 1 or not d.flags.c_contiguous:
-        raise ValueError("expected a contiguous float64 vector")
-    ones = _ones(d.shape[0]).ctypes.data
-    # AB(1, 1:2) = [0, 0], C(1) and WORK(1); NAB(1, 1:2), NVAL(1) and IWORK(1): the last two of each go unused
-    reals, ints = np.zeros(3), np.zeros(3, dtype=np.intc)
-    ab, nab = reals.ctypes.data, ints.ctypes.data
-    mout, info = ctypes.c_int(0), ctypes.c_int(0)
-    _DLAEBZ(
-        _ONE, _ZERO, ctypes.c_int(d.shape[0]), _ONE, _ONE, _ZERO, _NO_TOL, _NO_TOL, _PIVMIN,
-        d.ctypes.data, ones, ones, nab + 8, ab, ab + 16, mout, nab, ab + 16, nab + 8, info,
-    )
-    return int(ints[0]), info.value
-
-
-def _check_info(routine: str, info: int) -> None:
-    if info:
-        raise NonConvergenceError(f"LAPACK {routine} failed with info = {info}")
+    n = d.shape[0]
+    positive, *_, info = dstebz(d, _ones(max(n - 1, 1)), 1, 0.0, math.inf, 0, 0, math.inf, b"B")
+    _check_info("dstebz", info)
+    return n - positive
 
 
 @lru_cache(maxsize=16)
@@ -345,8 +316,7 @@ class _Levels:
         with np.errstate(divide="ignore"):  # w_i = 0 gives +inf, sigma's limit from below
             d = 144.0 / w
         d += 10.0
-        nonpositive, info = dlaebz(d)
-        _check_info("dlaebz", info)
+        nonpositive = nonpositive_count(d)
         self.counts += 1
         # within rounding of a level a count can fall out of order with its neighbours; keep the probes ascending
         count = min(max(int(np.count_nonzero(w < 0.0)) - nonpositive, low), high)

@@ -15,12 +15,11 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 
 from . import numerov, phase_integral
-from .errors import CornellboundError, DegenerateDifferenceError, DomainError, NonConvergenceError
-from .model import DimensionlessCase
+from .errors import CornellboundError, DegenerateDifferenceError, DomainError
+from .model import DimensionlessCase, is_int, is_real
 from .numerov import Grid
 
 #: the table schema: CSV column (a ComparisonRow field) -> its type, in file order
@@ -49,23 +48,15 @@ class ComparisonRow:
     error: str | None = None
 
 
-def _is_real(x) -> bool:
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
-
-
 #: RunConfig field -> (test of the value, or of each entry of a *_values list; what it must be)
 _FIELD_TYPES = {
-    "B_values": (_is_real, "a list of finite numbers"),
-    "l_values": (_is_int, "a list of integers"),
-    "s_values": (_is_int, "a list of integers"),
-    "j": (_is_int, "an integer"),
-    "z_min": (_is_real, "a finite number"),
-    "z_max": (_is_real, "a finite number"),
-    "n": (_is_int, "an integer"),
+    "B_values": (is_real, "a list of finite numbers"),
+    "l_values": (is_int, "a list of integers"),
+    "s_values": (is_int, "a list of integers"),
+    "j": (is_int, "an integer"),
+    "z_min": (is_real, "a finite number"),
+    "z_max": (is_real, "a finite number"),
+    "n": (is_int, "an integer"),
 }
 
 
@@ -185,7 +176,7 @@ def compare_sweep(config: RunConfig) -> list[ComparisonRow]:
         for l in sorted(config.l_values):
             try:
                 spectrum = numerov.solve(DimensionlessCase(B=B, l=l), grid, s_values[-1] + 1)
-            except (DomainError, NonConvergenceError) as exc:
+            except CornellboundError as exc:
                 for s in s_values:
                     rows.append(
                         ComparisonRow(B=B, l=l, s=s, j=config.j, error=f"{type(exc).__name__}: {exc}")

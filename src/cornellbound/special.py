@@ -118,7 +118,8 @@ def jacobi_complex(u, m) -> tuple[complex, complex, complex]:
     """
     m = _m_value(m)
     u = _u_value(u)
-    kp = float(ellipkm1(m))
+    # K' >= pi/2, its value at m = 1, so no |Im u| <= pi/4 needs the shift and K' is worked out only past that
+    kp = float(ellipkm1(m)) if abs(u.imag) > math.pi / 4.0 else math.pi / 2.0
     if abs(u.imag) > kp / 2.0:
         sn, cn, dn = _jacobi_reduced(complex(u.real, abs(u.imag) - kp), m)
         if abs(sn) < SINGULAR_TOL:

@@ -8,7 +8,9 @@ only complex argument), the Airy zero from a Maclaurin series plus
 bisection, and the contour integral for the third-order correction from
 Gauss-Legendre panels on an explicit straight path.  Numerov levels come
 as exact rational Rayleigh quotients of the stored banded pencil at the
-eigenvectors of a dense symmetric solve.
+eigenvectors of a dense symmetric solve, eigenvectors are checked against
+the dense pencil, and Sturm counts come from LAPACK's recurrence in plain
+Python.
 
 The reference routines at the end (L1 by quadrature, the Jacobi epsilon
 function, the Z antiderivatives and the partial fractions of the L3
@@ -19,6 +21,7 @@ functions, but not on the closed forms of L1 and L3 that they check.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 import mpmath as mp
@@ -322,3 +325,28 @@ def pencil_levels_exact(system, indices) -> list[tuple[float, float]]:
         floor = np.finfo(float).eps * float(banded_quadratic_form(np.abs(k), np.abs(chi)) / mass)
         out.append((float(banded_quadratic_form(k, chi) / mass), floor))
     return out
+
+
+def pencil_residual(system, eigenvalue: float, vector: np.ndarray) -> float:
+    """Max row residual of (-Ahat + Bhat Vhat) psi = A Bhat psi, from the dense matrices of a NumerovSystem."""
+    r = system.left_matrix() @ vector - eigenvalue * (system.b_matrix() @ vector)
+    return float(np.max(np.abs(r)))
+
+
+def sturm_count(d) -> int:
+    """The number of eigenvalues <= 0 of the symmetric tridiagonal matrix with diagonal d and
+    off-diagonal 1, by LAPACK's Sturm recurrence (`dlaebz`) in plain Python.
+
+    q_1 = d_1 and q_i = d_i - 1/q_{i-1}; a pivot smaller in magnitude than
+    the least normal number (LAPACK's pivmin with unit off-diagonal) is
+    taken as -pivmin, and every q_i <= 0 is counted.  There is no split
+    test: an infinite q_i leaves the next pivot d_{i+1}.
+    """
+    pivmin = sys.float_info.min
+    count, q = 0, math.inf
+    for x in d:
+        q = float(x) - 1.0 / q
+        if abs(q) < pivmin:
+            q = -pivmin
+        count += q <= 0.0
+    return count

@@ -38,6 +38,19 @@ class TestParamsValidation:
             DimensionlessCase(B=0.0, l=0, s=-2)
         with pytest.raises(DomainError):
             DimensionlessCase(B=0.0, l=0, j=2)
+        for bad in (
+            dict(B=math.nan, l=0),
+            dict(B=math.inf, l=0),
+            dict(B=True, l=0),
+            dict(B=0.0, l=True),
+            dict(B=0.0, l=0, s=True),
+            dict(B=0.0, l=0, j=True),
+        ):
+            with pytest.raises(DomainError):
+                DimensionlessCase(**bad)
+        # numpy scalars stay accepted
+        DimensionlessCase(B=np.float64(2.0), l=np.int64(1), s=np.int32(3), j=np.int8(0))
+        DimensionlessCase(B=np.int64(2), l=1)
 
     def test_nu(self):
         assert DimensionlessCase(B=0.0, l=2).nu == 2.5

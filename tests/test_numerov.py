@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from oracles import pencil_bands, pencil_levels_exact
-from scipy.linalg import cython_lapack, eigh, eigvalsh_tridiagonal
-from scipy.linalg.lapack import dgttrf, dgttrs
+from oracles import pencil_bands, pencil_levels_exact, pencil_residual, sturm_count
+from scipy.linalg import eigh, eigvalsh_tridiagonal
+from scipy.linalg.lapack import dgttrf, dgttrs, dstebz
 
 from cornellbound import numerov
 from cornellbound.errors import DomainError, NonConvergenceError
@@ -52,6 +52,11 @@ class TestGrid:
             Grid(2.0, 1.0, 10)
         with pytest.raises(DomainError):
             Grid(1.0, 2.0, 4)
+        for bad in ((1e-4, 50.0, 8.5), (1e-4, 50.0, True), (1e-4, np.inf, 10), (np.nan, 1.0, 10), (1e-4, np.nan, 10)):
+            with pytest.raises(DomainError):
+                Grid(*bad)
+        # numpy scalars stay accepted
+        assert Grid(np.float64(1.0), np.float32(2.0), np.int64(10)).interior_nodes().shape == (9,)
 
 
 class TestAssembly:
@@ -141,7 +146,7 @@ class TestSpectrum:
         sys = assemble(case, g)
         scale = np.max(np.abs(sys.left_matrix()))
         for k in range(4):
-            r = sys.pencil_residual(float(spec.eigenvalues[k]), spec.eigenvectors[:, k])
+            r = pencil_residual(sys, float(spec.eigenvalues[k]), spec.eigenvectors[:, k])
             assert r <= 1e-8 * scale
 
     def test_eigenvector_orthonormality(self):
@@ -184,8 +189,8 @@ class TestSpectrum:
         assert np.allclose(psi.T @ psi, np.eye(count), rtol=0, atol=1e-10)
 
     def test_diagnostics_tally_the_lapack_calls(self, monkeypatch):
-        # one dlaebz per Sturm count and one dgttrf per factorization
-        calls = {"dlaebz": 0, "dgttrf": 0}
+        # one dstebz per Sturm count and one dgttrf per factorization
+        calls = {"dstebz": 0, "dgttrf": 0}
 
         def counting(name, routine):
             def call(*args, **kwargs):
@@ -194,12 +199,12 @@ class TestSpectrum:
 
             return call
 
-        monkeypatch.setattr(numerov, "dlaebz", counting("dlaebz", numerov.dlaebz))
+        monkeypatch.setattr(numerov, "dstebz", counting("dstebz", dstebz))
         monkeypatch.setattr(numerov, "dgttrf", counting("dgttrf", dgttrf))
         spec = solve(DimensionlessCase(B=2.0, l=0), Grid(**REF, n=512), 16)
         d = spec.diagnostics
         assert d["solver"] == "sturm" and d["size"] == 511
-        assert d["sturm_counts"] == calls["dlaebz"] > 0
+        assert d["sturm_counts"] == calls["dstebz"] > 0
         assert d["factorizations"] == calls["dgttrf"] > 0
 
     def test_centrifugal_monotonicity(self):
@@ -263,7 +268,7 @@ class TestSpectrum:
     @pytest.mark.parametrize(
         "routine,failing",
         [
-            ("dlaebz", lambda d, dlaebz=numerov.dlaebz: (dlaebz(d)[0], -9)),
+            ("dstebz", lambda *args: (*dstebz(*args)[:4], 1)),
             ("dgttrf", lambda *args, **kwargs: (*dgttrf(*args, **kwargs)[:5], -3)),
         ],
     )
@@ -295,22 +300,22 @@ class TestSpectrum:
         w, psi = spec.eigenvalues, spec.eigenvectors
         assert np.allclose(w, expected, rtol=1e-12, atol=1e-12)
         sys = assemble(case, g)
-        assert sys.pencil_residual(float(w[-1]), psi[:, -1]) <= 1e-8 * abs(w[-1])
+        assert pencil_residual(sys, float(w[-1]), psi[:, -1]) <= 1e-8 * abs(w[-1])
         assert np.allclose(psi.T @ psi, np.eye(66), rtol=0, atol=1e-12)
 
-    def test_dlaebz_counts_the_nonpositive_eigenvalues(self):
+    def test_nonpositive_count_against_dense_eigenvalues(self):
         rng = np.random.default_rng(7)
         for n in (1, 2, 7, 64):
             d = rng.normal(0.0, 2.0, n)
-            assert numerov.dlaebz(d) == (int(np.sum(eigvalsh_tridiagonal(d, np.ones(n - 1)) <= 0.0)), 0)
+            assert numerov.nonpositive_count(d) == int(np.sum(eigvalsh_tridiagonal(d, np.ones(n - 1)) <= 0.0))
         # an infinite diagonal entry splits the matrix there and adds no eigenvalue <= 0
         d = rng.normal(0.0, 2.0, 9)
         d[4] = np.inf
         split = [eigvalsh_tridiagonal(part, np.ones(len(part) - 1)) for part in (d[:4], d[5:])]
-        assert numerov.dlaebz(d)[0] == sum(int(np.sum(part <= 0.0)) for part in split)
-        for bad in (d.astype(np.float32), np.ones((2, 3)), np.ones(10)[::2]):
-            with pytest.raises(ValueError):
-                numerov.dlaebz(bad)
+        assert numerov.nonpositive_count(d) == sum(int(np.sum(part <= 0.0)) for part in split)
+        # beside an entry of exactly 0 it defeats dstebz's split test, and dstebz reports that
+        with pytest.raises(NonConvergenceError, match="dstebz"):
+            numerov.nonpositive_count(np.array([2.0, 0.0, np.inf]))
 
     @pytest.mark.parametrize("n", [8, 64, 512, 2000])
     def test_one_level_runs_no_full_eigensolver(self, n, monkeypatch):
@@ -386,7 +391,7 @@ def test_one_level_by_inverse_iteration(B, l, n):
     assert abs(a - solve(case, g, 2).eigenvalues[0]) <= 1e-12 * scale
     sys = assemble(case, g)
     assert abs(a - eigh(sys.symmetric_operator(), eigvals_only=True, subset_by_index=[0, 0])[0]) <= 1e-10 * scale
-    assert sys.pencil_residual(a, psi) <= 1e-8 * scale
+    assert pencil_residual(sys, a, psi) <= 1e-8 * scale
     assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
 
 
@@ -619,9 +624,29 @@ def test_solve_misses_no_level(B, l, n, frac):
     assert levels.count_below(w[-1] + tol[-1]) == count
 
 
-def test_sturm_routine_is_exported_by_scipy():
-    """The counts call dlaebz through scipy's cython_lapack capsule."""
-    assert "dlaebz" in cython_lapack.__pyx_capi__
+def _signed(magnitudes):
+    return st.tuples(magnitudes, st.booleans()).map(lambda t: -t[0] if t[1] else t[0])
+
+
+# entries of S(sigma)'s diagonal 10 + 144/w: moderate ones, ones near 1e16 (|w| about 1e-14), whose
+# products with each other pass dstebz's split test |d_j d_{j+1}| ulp^2 > 1 from about 4.5e15 on,
+# and +inf (w = 0).  None is 0 or below the least normal number, which 10 + 144/w never is unless w
+# lies within a few ulps of -14.4; there dstebz's 1 x 1 blocks and the recurrence compare with
+# pivmin differently, and an entry of 0 beside +inf defeats the split (dstebz then reports it).
+STURM_ENTRIES = st.one_of(_signed(st.floats(1e-6, 1e3)), _signed(st.floats(1e15, 1e17)), st.just(np.inf))
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.lists(STURM_ENTRIES, min_size=1, max_size=40))
+@example(d=[-0.5])
+@example(d=[3.0, -2.0])
+@example(d=[np.inf])
+@example(d=[np.inf, -3.0])
+@example(d=[1e16, 1e16, -1e16, 3.0])  # dstebz splits between the two big entries
+@example(d=[2.0, np.inf, -1e16, 1e16, 1e15, -5.0])
+def test_nonpositive_count_equals_the_sturm_recurrence(d):
+    """The dstebz count equals LAPACK's unsplit Sturm recurrence (`dlaebz`, no split test)."""
+    assert numerov.nonpositive_count(np.array(d)) == sturm_count(d)
 
 
 class TestConvergenceTable:

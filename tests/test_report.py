@@ -6,8 +6,8 @@ import re
 
 import pytest
 
-from cornellbound import phase_integral
-from cornellbound.errors import BracketError, DegenerateDifferenceError, DomainError, NoValidRootError
+from cornellbound import numerov, phase_integral
+from cornellbound.errors import BracketError, DegenerateDifferenceError, DomainError, NoValidRootError, SingularPointError
 from cornellbound.model import DimensionlessCase
 from cornellbound.numerov import Grid, convergence_table
 from cornellbound.report import (
@@ -211,6 +211,27 @@ class TestCompare:
         for r in rows:
             assert r.error.startswith("DomainError: count must be between 1 and 7")
             assert math.isnan(r.A_N) and math.isnan(r.A_PhI)
+
+    def test_sweep_records_any_package_error_of_the_numerov_solve(self, monkeypatch):
+        # any CornellboundError from the solve becomes that (B, l)'s row errors; any other error escapes
+        real = numerov.solve
+
+        def failing(error):
+            def solve(case, grid, count, eigenvectors=False):
+                if case.B == 2.0:
+                    raise error
+                return real(case, grid, count, eigenvectors)
+
+            return solve
+
+        cfg = RunConfig(B_values=[0.0, 2.0], l_values=[0], s_values=[0, 1], z_max=20.0, n=600)
+        monkeypatch.setattr(numerov, "solve", failing(SingularPointError("forced failure")))
+        rows = compare_sweep(cfg)
+        assert [(r.B, r.error) for r in rows] == [(0.0, None)] * 2 + [(2.0, "SingularPointError: forced failure")] * 2
+        assert all(math.isnan(r.A_N) and math.isnan(r.A_PhI) for r in rows[2:])
+        monkeypatch.setattr(numerov, "solve", failing(TypeError("a bug, not a failed case")))
+        with pytest.raises(TypeError, match="a bug"):
+            compare_sweep(cfg)
 
 
 class TestSerialization:
