@@ -10,9 +10,10 @@ Subcommands:
   rates     N_k (and optionally M_k) convergence rates from a value list,
             a CSV column, or a freshly computed convergence table
 
-Every subcommand runs one spec, a report.RunConfig.  Each of its fields
-comes from the flag if given, else from the key of the JSON file named by
---config, else from the subcommand's default:
+Every subcommand runs one spec, a report.RunConfig, which alone checks its
+values.  A flag stores its value under its config key, the field's name,
+and each field comes from the flag if given, else from the key of the JSON
+file named by --config, else from the subcommand's default:
 
   key       flag     default
   B_values  -B       [0]; compare [0, 2, 5, 10]; rates none
@@ -23,25 +24,27 @@ comes from the flag if given, else from the key of the JSON file named by
   z_max     --zmax   50;   20 for mesh sweeps
   n         --grid   5000   (numerov without --grids, compare)
 
-phase and compare need at least one s value.  rates computes sequences
-only when both B and l values are given; the --values and --csv inputs
-take precedence over them.
+s_values must not be empty, for every subcommand.  rates computes
+sequences only when both B and l values are given; the --values and --csv
+inputs take precedence over them.
 
 --out is accepted by phase (the levels as JSON) and compare (the table as
 CSV, the full diagnostics as JSON at OUT.json).
 
-Exit codes: 0 full success; 1 configuration error (an unreadable config,
+Exit codes: 0 full success (and --help); 1 configuration error, one
+"configuration error: ..." line on stderr before any case runs (a usage
+error such as an unknown flag or an unparsable value, an unreadable config,
 an unknown key, a value of the wrong type or range, numerov --levels
-outside 1..N-1, fewer than 3 --grids or a grid below 8 subintervals
-(numerov, rates), all checked before any case runs, a rates --csv table
-without the comparison columns, or a non-finite rates --values or --ref
-entry); 2 partial per-case failures (each reported as a FAILED line on
-stderr; the other cases still run).
+outside 1..N-1, fewer than 3 --grids or a grid below 8 subintervals, rates
+without input, with a --csv table lacking the comparison columns or with a
+non-finite --values or --ref entry); 2 partial per-case failures (each
+reported as a FAILED line on stderr; the other cases still run).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -51,17 +54,6 @@ from . import numerov, phase_integral, report
 from .errors import CornellboundError, DomainError
 from .model import DimensionlessCase
 from .numerov import Grid
-
-#: config-file key -> argparse dest of the flag that overrides it
-CONFIG_KEYS = {
-    "B_values": "B",
-    "l_values": "l",
-    "s_values": "s",
-    "j": "order",
-    "z_min": "zmin",
-    "z_max": "zmax",
-    "n": "grid",
-}
 
 #: the mesh-sweep domain of the reference convergence tables
 SWEEP_DOMAIN = {"z_min": numerov.SWEEP_Z_MIN, "z_max": numerov.SWEEP_Z_MAX}
@@ -75,24 +67,29 @@ def _float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip() != ""]
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are configuration errors, reported by `main` (exit 1)."""
+
+    def error(self, message):
+        raise DomainError(message)
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("-B", type=_float_list, default=None, help="comma-separated B values")
-    p.add_argument("-l", type=_int_list, default=None, help="comma-separated l values")
-    p.add_argument("--grid", type=int, default=None, help="number of mesh subintervals N")
-    p.add_argument("--zmin", type=float, default=None)
-    p.add_argument("--zmax", type=float, default=None)
+    p.add_argument("-B", dest="B_values", metavar="B", type=_float_list, help="comma-separated B values")
+    p.add_argument("-l", dest="l_values", metavar="L", type=_int_list, help="comma-separated l values")
+    p.add_argument("--grid", dest="n", metavar="GRID", type=int, help="number of mesh subintervals N")
+    p.add_argument("--zmin", dest="z_min", metavar="ZMIN", type=float)
+    p.add_argument("--zmax", dest="z_max", metavar="ZMAX", type=float)
 
 
 def _add_levels(p: argparse.ArgumentParser) -> None:
-    p.add_argument("-s", type=_int_list, default=None, help="comma-separated radial indices s")
-    p.add_argument("--order", type=int, default=None, choices=(0, 1), help="truncation order j")
+    p.add_argument("-s", dest="s_values", metavar="S", type=_int_list, help="comma-separated radial indices s")
+    p.add_argument("--order", dest="j", metavar="{0,1}", type=int, help="truncation order j")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="cornellbound", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
-    )
+    ap = _Parser(prog="cornellbound", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("numerov", help="Numerov eigenvalues / convergence table")
@@ -131,10 +128,10 @@ def build_parser() -> argparse.ArgumentParser:
 def resolve_config(args, **defaults) -> report.RunConfig:
     """The run spec of one subcommand.
 
-    Each field comes from its flag if given, else from the --config file,
-    else from `defaults`, else from the RunConfig default.  An unreadable
-    file raises OSError or JSONDecodeError; an unknown key or an invalid
-    value raises DomainError.
+    Each RunConfig field comes from its flag (the parsed value of that
+    name) if given, else from the --config file, else from `defaults`,
+    else from the RunConfig default.  An unreadable file raises OSError or
+    JSONDecodeError; an unknown key or an invalid value raises DomainError.
     """
     cfg = {}
     if args.config:
@@ -142,25 +139,12 @@ def resolve_config(args, **defaults) -> report.RunConfig:
             cfg = json.load(fh)
         if not isinstance(cfg, dict):
             raise DomainError("config file must hold a JSON object")
-        unknown = sorted(set(cfg) - set(CONFIG_KEYS))
-        if unknown:
-            raise DomainError(f"unknown config key(s) {', '.join(unknown)}; known keys: {', '.join(CONFIG_KEYS)}")
-    values = dict(defaults)
-    for key, dest in CONFIG_KEYS.items():
-        flag = getattr(args, dest, None)
-        if flag is not None:
-            values[key] = flag
-        elif key in cfg:
-            values[key] = cfg[key]
-    return report.RunConfig(**values)
-
-
-def _levels_config(args, **defaults) -> report.RunConfig:
-    """resolve_config for the subcommands that compute levels s (phase, compare)."""
-    config = resolve_config(args, **defaults)
-    if not config.s_values:
-        raise DomainError("s_values must not be empty")
-    return config
+    keys = [f.name for f in dataclasses.fields(report.RunConfig)]
+    unknown = sorted(set(cfg) - set(keys))
+    if unknown:
+        raise DomainError(f"unknown config key(s) {', '.join(unknown)}; known keys: {', '.join(keys)}")
+    flags = {key: getattr(args, key) for key in keys if getattr(args, key, None) is not None}
+    return report.RunConfig(**{**defaults, **cfg, **flags})
 
 
 def _sweep_grids(config: report.RunConfig, ns: list[int]) -> list[Grid]:
@@ -208,7 +192,7 @@ def cmd_numerov(args) -> int:
 
 
 def cmd_phase(args) -> int:
-    config = _levels_config(args, B_values=[0.0], l_values=[0])
+    config = resolve_config(args, B_values=[0.0], l_values=[0])
     _header()
     failures = 0
     results = []
@@ -252,7 +236,7 @@ def cmd_phase(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    config = _levels_config(args)
+    config = resolve_config(args)
     _header()
     rows = report.compare_sweep(config)
     for r in rows:
@@ -276,7 +260,6 @@ def cmd_rates(args) -> int:
     if not all(map(math.isfinite, explicit)):
         raise DomainError("--values and --ref must be finite")
     grids = _sweep_grids(config, args.grids)
-    _header()
     failures = 0
     sequences = []
     if args.values is not None:
@@ -295,8 +278,8 @@ def cmd_rates(args) -> int:
                     continue
                 sequences.append((label, [a for _, a in table]))
     else:
-        print("rates: need --values, --csv, or -B and -l", file=sys.stderr)
-        return 1
+        raise DomainError("rates: need --values, --csv, or -B and -l")
+    _header()
     for label, seq in sequences:
         try:
             print(f"{label}  N_k = " + ", ".join(f"{v:.2f}" for v in report.rate_N(seq)))
@@ -319,9 +302,11 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         return args.run(args)
+    except SystemExit as stop:  # --help, once the usage is printed
+        return stop.code
     except (DomainError, OSError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

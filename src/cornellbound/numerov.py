@@ -59,6 +59,7 @@ import bisect
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -127,14 +128,24 @@ class Grid:
 
 @dataclass
 class NumerovSystem:
-    """Assembled coefficient data for the Numerov pencil on a grid."""
+    """Assembled coefficient data for the Numerov pencil on a grid.
+
+    Bhat = (1, 10, 1)/12 is the scheme's, not the caller's: the Sturm count
+    in `_Levels` is derived for it.  Ahat's coefficients follow from the grid.
+    """
 
     grid: Grid
     potential_values: np.ndarray  # V at interior nodes
-    a_main: float  # -2/delta^2
-    a_off: float  # 1/delta^2
-    b_main: float = 10.0 / 12.0
-    b_off: float = 1.0 / 12.0
+    b_main: ClassVar[float] = 10.0 / 12.0
+    b_off: ClassVar[float] = 1.0 / 12.0
+
+    @property
+    def a_main(self) -> float:
+        return -2.0 / self.grid.delta**2
+
+    @property
+    def a_off(self) -> float:
+        return 1.0 / self.grid.delta**2
 
     @property
     def size(self) -> int:
@@ -188,8 +199,6 @@ class Spectrum:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None = None
-    case: DimensionlessCase | None = None
-    grid: Grid | None = None
     diagnostics: dict = field(default_factory=dict)
 
     def tracked_value(self) -> float:
@@ -211,10 +220,7 @@ def effective_potential(case: DimensionlessCase, z):
 
 def assemble(case: DimensionlessCase, grid: Grid) -> NumerovSystem:
     """Evaluate the potential on the interior nodes and fix the pencil rows."""
-    z = grid.interior_nodes()
-    v = effective_potential(case, z)
-    d2 = grid.delta**2
-    return NumerovSystem(grid=grid, potential_values=v, a_main=-2.0 / d2, a_off=1.0 / d2)
+    return NumerovSystem(grid, effective_potential(case, grid.interior_nodes()))
 
 
 def _check_info(routine: str, info: int) -> None:
@@ -258,19 +264,17 @@ def _bhat_factor(n: int, main: float, off: float) -> tuple[np.ndarray, np.ndarra
 
 
 @lru_cache(maxsize=16)
-def _seeded_start(n: int) -> np.ndarray:
-    # a constant, which overlaps the smooth psi of the low levels well, plus a
-    # seeded normal vector, which overlaps every psi, both of unit length
+def _start_vector(n: int) -> np.ndarray:
+    """The fixed start vector of inverse iteration, which makes repeated solves bitwise reproducible.
+
+    A constant, which overlaps the smooth psi of the low levels well, plus a
+    seeded normal vector, which overlaps every psi, both of unit length.  It
+    is read-only: the iteration's first step divides it into a new array.
+    """
     normal = np.random.default_rng(0).standard_normal(n)
     out = normal / np.linalg.norm(normal) + 1.0 / np.sqrt(n)
     out.flags.writeable = False
     return out
-
-
-def _start_vector(n: int) -> np.ndarray:
-    # a fixed start vector makes repeated solves bitwise reproducible; the
-    # caller owns the copy (the iteration normalizes it in place)
-    return _seeded_start(n).copy()
 
 
 class _Levels:
@@ -367,7 +371,7 @@ class _Levels:
         factor = self._factor(a)
         x = _start_vector(self.system.size)
         for _ in range(FIXED_SHIFT_SOLVES):
-            x /= math.sqrt(x @ x)
+            x = x / math.sqrt(x @ x)
             y = dgttrs(*factor, self.system.apply_b(x), overwrite_b=True)[0]
             if lower is not None:
                 y -= lower @ (lower.T @ y)
@@ -505,7 +509,7 @@ def solve(case: DimensionlessCase, grid: Grid, count: int, eigenvectors: bool = 
     found = [levels.level(k) for k in range(1, count + 1)]
     w = np.array([a for a, _, _ in found])
     psi = np.column_stack([x for _, x, _ in found]) if eigenvectors else None
-    return Spectrum(w, psi, case, grid, levels.diagnostics(count))
+    return Spectrum(w, psi, levels.diagnostics(count))
 
 
 def tracked_level(case: DimensionlessCase, grid: Grid) -> float:

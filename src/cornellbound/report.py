@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import numerov, phase_integral
 from .errors import CornellboundError, DegenerateDifferenceError, DomainError
@@ -48,47 +48,47 @@ class ComparisonRow:
     error: str | None = None
 
 
-#: RunConfig field -> (test of the value, or of each entry of a *_values list; what it must be)
-_FIELD_TYPES = {
-    "B_values": (is_real, "a list of finite numbers"),
-    "l_values": (is_int, "a list of integers"),
-    "s_values": (is_int, "a list of integers"),
-    "j": (is_int, "an integer"),
-    "z_min": (is_real, "a finite number"),
-    "z_max": (is_real, "a finite number"),
-    "n": (is_int, "an integer"),
-}
+def _checked(default, check, kind: str):
+    """A RunConfig field: its default, and the test that its value (each entry
+    of a *_values list) must pass, with what that value must be."""
+    metadata = {"check": check, "kind": kind}
+    if isinstance(default, list):
+        return field(default_factory=default.copy, metadata=metadata)
+    return field(default=default, metadata=metadata)
 
 
 @dataclass
 class RunConfig:
     """The run spec of every CLI subcommand: the (B, l, s, j) sweep and the grid.
 
-    Values may come from a config file, so every field is checked for its
-    type and range here, before any case runs; a bad one is a DomainError.
+    Its fields are the CLI's run values, whether from a flag or a config
+    file, so every field is checked for its type and range here, before any
+    case runs; a bad one is a DomainError.  At least one s value is needed.
     """
 
-    B_values: list[float] = field(default_factory=lambda: [0.0, 2.0, 5.0, 10.0])
-    l_values: list[int] = field(default_factory=lambda: [0, 1, 2])
-    s_values: list[int] = field(default_factory=lambda: [0])
-    j: int = 1
-    z_min: float = numerov.DEFAULT_Z_MIN
-    z_max: float = numerov.DEFAULT_Z_MAX
-    n: int = numerov.DEFAULT_N
+    B_values: list[float] = _checked([0.0, 2.0, 5.0, 10.0], is_real, "a list of finite numbers")
+    l_values: list[int] = _checked([0, 1, 2], is_int, "a list of integers")
+    s_values: list[int] = _checked([0], is_int, "a list of integers")
+    j: int = _checked(1, is_int, "an integer")
+    z_min: float = _checked(numerov.DEFAULT_Z_MIN, is_real, "a finite number")
+    z_max: float = _checked(numerov.DEFAULT_Z_MAX, is_real, "a finite number")
+    n: int = _checked(numerov.DEFAULT_N, is_int, "an integer")
 
     def __post_init__(self):
-        for name, (check, kind) in _FIELD_TYPES.items():
-            value = getattr(self, name)
-            if name.endswith("_values"):
+        for f in fields(self):
+            value, check = getattr(self, f.name), f.metadata["check"]
+            if f.name.endswith("_values"):
                 valid = isinstance(value, (list, tuple)) and all(check(v) for v in value)
             else:
                 valid = check(value)
             if not valid:
-                raise DomainError(f"{name} must be {kind}, got {value!r}")
+                raise DomainError(f"{f.name} must be {f.metadata['kind']}, got {value!r}")
         if any(b < 0 for b in self.B_values):
             raise DomainError("B values must be non-negative")
         if any(l < 0 for l in self.l_values) or any(s < 0 for s in self.s_values):
             raise DomainError("l and s values must be non-negative")
+        if not self.s_values:
+            raise DomainError("s_values must not be empty")
         if self.j not in (0, 1):
             raise DomainError("j must be 0 or 1")
         self.grid()  # raises DomainError for a bad domain or mesh size
@@ -164,11 +164,8 @@ def compare_sweep(config: RunConfig) -> list[ComparisonRow]:
     (the s-th level is the s-th ascending eigenvalue), and the
     phase-integral levels of each (B, l, j) come from one ladder walk.
     Per-case failures are recorded in the row instead of aborting the
-    sweep; output order is sorted by (B, l, s, j).  An empty `s_values` is
-    a DomainError.
+    sweep; output order is sorted by (B, l, s, j).
     """
-    if not config.s_values:
-        raise DomainError("s_values must not be empty")
     grid = config.grid()
     s_values = sorted(config.s_values)
     rows = []

@@ -16,13 +16,18 @@ The reference routines at the end (L1 by quadrature, the Jacobi epsilon
 function, the Z antiderivatives and the partial fractions of the L3
 integrand) build on that real triple and the library's complex Jacobi
 functions, but not on the closed forms of L1 and L3 that they check.
+
+The paper's published tables are typed once, in bench/reference.py, and
+`reference` is that module.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -32,6 +37,20 @@ from scipy.special import ellipe, ellipeinc, ellipj, ellipk
 
 from cornellbound.errors import DomainError, SingularPointError
 from cornellbound.special import SINGULAR_TOL, _m_value, ellip_K, jacobi_complex
+
+
+def bench_module(name: str):
+    """bench/NAME.py, loaded by its path: bench/ is a directory of scripts, not a package."""
+    path = Path(__file__).resolve().parent.parent / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+#: the published Table 1 (TABLE1, on TABLE1_NS over [TABLE1_Z_MIN, TABLE1_Z_MAX])
+#: and Table 2 (TABLE2: (B, l) -> (A_N, A_PhI at j = 0), s = 0)
+reference = bench_module("reference")
 
 
 def jacobi_sn_cn_dn(u: float, m) -> tuple[float, float, float]:

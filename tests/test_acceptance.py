@@ -18,40 +18,15 @@ from cornellbound.report import rate_N
 from cornellbound.errors import DegenerateDifferenceError
 from cornellbound.special import ellip_E, ellip_K, jacobi_complex
 
-REF_NS = (8, 16, 32, 64, 128, 256, 512)
-REF_GRIDS = {n: Grid(1e-5, 20.0, n) for n in REF_NS}
-
-# published Numerov mesh-refinement values, N = 8 ... 512
-TABLE1 = {
-    (0.0, 0): [2.8858, 2.3509, 2.3380, 2.3381, 2.3381, 2.3381, 2.3381],
-    (0.0, 1): [3.2036, 3.2472, 3.3499, 3.3599, 3.3611, 3.3612, 3.3613],
-    (0.0, 2): [3.8374, 4.2366, 4.2471, 4.2481, 4.2482, 4.2482, 4.2482],
-    (2.0, 0): [2.0887, 0.90968, 0.46478, 0.28595, 0.22185, 0.20221, 0.19676],
-    (2.0, 1): [2.4071, 1.9879, 2.1960, 2.2326, 2.2375, 2.2381, 2.2381],
-    (2.0, 2): [3.0427, 3.4096, 3.4299, 3.4316, 3.4317, 3.4317, 3.43174],
-    (5.0, 0): [0.89188, -1.3705, 1.1344, 0.72893, 0.53979, 0.46719, 0.44397],
-    (5.0, 1): [1.2107, -0.17807, -0.13662, 0.042615, 0.075806, 0.080476, 0.081094],
-    (5.0, 2): [1.8479, 1.8685, 2.0218, 2.0266, 2.0269, 2.0269, 2.0269],
-    (10.0, 0): [-1.1047, 0.045198, 1.0639, 0.30229, -0.10734, -0.29961, -0.37306],
-    (10.0, 1): [-0.78537, 0.37281, -0.94293, -0.82315, -0.63611, -0.60284, -0.59819],
-    (10.0, 2): [-0.14698, 1.0765, -0.99667, -0.94581, -0.94363, -0.94350, -0.94349],
-}
+# the published tables: Table 1, the Numerov mesh-refinement values on
+# N = 8 ... 512, and Table 2, the method comparison at s = 0,
+# (B, l) -> (A_N, A_PhI leading order)
+TABLE1, TABLE2 = oracles.reference.TABLE1, oracles.reference.TABLE2
+REF_NS = oracles.reference.TABLE1_NS
+REF_GRIDS = {n: Grid(oracles.reference.TABLE1_Z_MIN, oracles.reference.TABLE1_Z_MAX, n) for n in REF_NS}
 
 SMOOTH_ROWS = [(0.0, 0), (0.0, 1), (0.0, 2), (2.0, 2)]
 ROUGH_ROWS = [(5.0, 0), (10.0, 0), (10.0, 1)]
-
-# published method comparison, s = 0: (B, l) -> (A_N, A_PhI leading order)
-TABLE2 = {
-    (0.0, 0): (2.33811, 2.34966),
-    (0.0, 1): (3.36125, 3.36536),
-    (0.0, 2): (4.24818, 4.25046),
-    (2.0, 0): (0.194971, 0.151574),
-    (2.0, 1): (2.23816, 2.23556),
-    (2.0, 2): (3.43174, 3.4322),
-    (5.0, 1): (0.0811837, 0.0670229),
-    (5.0, 2): (2.02688, 2.02359),
-    (10.0, 2): (-0.943488, -0.952484),
-}
 
 
 def announce(capsys, num: int, label: str, ok: bool, extra: list[str] = ()) -> None:

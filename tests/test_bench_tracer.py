@@ -5,22 +5,11 @@ renamed function would otherwise surface only as a crash of
 `bench/run.py --trace 1`.
 """
 
-import importlib.util
-from pathlib import Path
-
 import pytest
 
-TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+from oracles import bench_module
 
-
-def _targets():
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.TARGETS
-
-
-TARGETS = _targets()
+TARGETS = bench_module("tracer").TARGETS
 
 
 def test_targets_found():

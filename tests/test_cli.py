@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from cornellbound import cli, numerov, phase_integral, report
-from cornellbound.errors import BracketError, NonConvergenceError, NoValidRootError
+from cornellbound.errors import BracketError, DomainError, NonConvergenceError, NoValidRootError
 from cornellbound.model import DimensionlessCase
 from cornellbound.numerov import Grid
 
@@ -305,13 +305,72 @@ def test_empty_s_values_is_configuration_error(capsys, tmp_path, command, source
 
 
 @pytest.mark.parametrize("command", ["numerov", "rates"])
+def test_empty_s_values_is_configuration_error_without_s_flag(capsys, tmp_path, command):
+    assert run([command, "-B", "0", "-l", "0", "--config", write_config(tmp_path, {"s_values": []})]) == 1
+    captured = capsys.readouterr()
+    assert "configuration error: s_values must not be empty" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "command, flag, cfg, message",
+    [
+        ("phase", ["--order", "2"], {"j": 2}, "j must be 0 or 1"),
+        ("compare", ["--order", "2"], {"j": 2}, "j must be 0 or 1"),
+        ("numerov", ["--grid", "600.5"], {"n": 600.5}, None),
+        ("compare", ["--grid", "600.5"], {"n": 600.5}, None),
+        ("numerov", ["-l", "1.5"], {"l_values": [1.5]}, None),
+        ("phase", ["-l", "1.5"], {"l_values": [1.5]}, None),
+    ],
+    ids=["phase-j", "compare-j", "numerov-n", "compare-n", "numerov-l", "phase-l"],
+)
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_flag_and_config_key_fail_alike(capsys, tmp_path, command, flag, cfg, message, source):
+    argv = flag if source == "flag" else ["--config", write_config(tmp_path, cfg)]
+    assert run([command, "-B", "0", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("configuration error: ")
+    if message is not None:
+        assert line == f"configuration error: {message}"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["numerov", "-B", "abc"], "argument -B: invalid"),
+        (["phase", "--order", "one"], "argument --order: invalid"),
+        (["rates", "--values", "1,x"], "argument --values: invalid"),
+        (["compare", "--no-such-flag"], "unrecognized arguments: --no-such-flag"),
+        (["numerov", "--levels"], "argument --levels: expected one argument"),
+        (["no-such-command"], "argument command: invalid choice"),
+        ([], "the following arguments are required: command"),
+    ],
+)
+def test_usage_error_is_configuration_error(capsys, argv, message):
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"configuration error: {message}")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["numerov", "rates"])
 def test_out_is_rejected_where_nothing_is_written(capsys, tmp_path, command):
     out_path = tmp_path / "n.csv"
-    with pytest.raises(SystemExit) as exc:
-        run([command, "-B", "0", "-l", "0", "--grid", "200", "--out", str(out_path)])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --out" in capsys.readouterr().err
+    assert run([command, "-B", "0", "-l", "0", "--grid", "200", "--out", str(out_path)]) == 1
+    captured = capsys.readouterr()
+    assert "configuration error: unrecognized arguments: --out" in captured.err
+    assert captured.out == ""
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("command", [[], ["numerov"], ["phase"], ["compare"], ["rates"]])
+def test_help_exits_0(capsys, command):
+    assert run([*command, "--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: cornellbound") and captured.err == ""
 
 
 class TestRatesCommand:
@@ -383,6 +442,16 @@ class TestRatesCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "configuration error: --values and --ref must be finite" in captured.err
+
+    @pytest.mark.parametrize("argv", [[], ["--csv", "partial.csv"]], ids=["no-input", "partial-csv"])
+    def test_input_errors_print_nothing_on_stdout(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "partial.csv").write_text("B,l\n0,0\n", encoding="utf-8")
+        assert run(["rates", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("configuration error: ")
 
     def test_empty_B_and_l_lists_are_accepted(self, capsys, tmp_path):
         cfg = write_config(tmp_path, {"B_values": [], "l_values": []})
@@ -479,10 +548,10 @@ class TestOneParserPerProcess:
 
 class TestParser:
     def test_requires_subcommand(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(DomainError, match="required: command"):
             cli.build_parser().parse_args([])
 
     def test_list_parsing(self):
         args = cli.build_parser().parse_args(["numerov", "-B", "0,2.5,10", "-l", "0,2"])
-        assert args.B == [0.0, 2.5, 10.0]
-        assert args.l == [0, 2]
+        assert args.B_values == [0.0, 2.5, 10.0]
+        assert args.l_values == [0, 2]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from oracles import pencil_bands, pencil_levels_exact, pencil_residual, sturm_count
+from oracles import pencil_bands, pencil_levels_exact, pencil_residual, reference, sturm_count
 from scipy.linalg import eigh, eigvalsh_tridiagonal
 from scipy.linalg.lapack import dgttrf, dgttrs, dstebz
 
@@ -77,6 +77,15 @@ class TestAssembly:
         assert np.allclose(sums[1:-1], 1.0, atol=1e-14)
         assert sums[0] == pytest.approx(11.0 / 12.0)
         assert sums[-1] == pytest.approx(11.0 / 12.0)
+
+    def test_stencil_is_fixed_by_the_scheme_and_the_grid(self):
+        g = Grid(1e-4, 20.0, 64)
+        sys = assemble(DimensionlessCase(B=2.0, l=1), g)
+        assert (sys.a_main, sys.a_off) == (-2.0 / g.delta**2, 1.0 / g.delta**2)
+        assert (sys.b_main, sys.b_off) == (10.0 / 12.0, 1.0 / 12.0)
+        for coefficient in ("a_main", "a_off", "b_main", "b_off"):
+            with pytest.raises(TypeError):
+                numerov.NumerovSystem(g, sys.potential_values, **{coefficient: 1.0})
 
     def test_pencil_bands_match_dense_products(self):
         # K = -Ahat Bhat + Bhat V Bhat and M = Bhat^2, from the dense factors
@@ -406,7 +415,7 @@ def test_one_level_by_inverse_iteration_on_the_default_grid():
 
 # tracked levels of the 12 Table 1 rows on N = 8 ... 512, recorded from an
 # earlier banded Lanczos engine
-TABLE1_NS = (8, 16, 32, 64, 128, 256, 512)
+TABLE1_NS = reference.TABLE1_NS
 TABLE1_TRACKED = {
     (0.0, 0): [2.8858023466197205, 2.3508729564301443, 2.3379962390556055, 2.3381032955833114, 2.3381164484165176, 2.3381173491590377, 2.338117406610392],
     (0.0, 1): [3.203563052936439, 3.2472251408883324, 3.349915635228114, 3.3599495472760075, 3.361098251714288, 3.3612353991691633, 3.3612521568444405],
@@ -429,14 +438,9 @@ class TestGoldenValues:
     @pytest.mark.parametrize(
         "B,l,n,expected",
         [
-            (0.0, 0, 8, 2.8858),
-            (0.0, 0, 512, 2.3381),
-            (0.0, 2, 512, 4.2482),
-            (2.0, 0, 512, 0.19676),
-            (2.0, 2, 512, 3.43174),
-            (5.0, 0, 512, 0.44397),
-            (10.0, 1, 512, -0.59819),
-            (10.0, 2, 512, -0.94349),
+            (B, l, n, reference.TABLE1[(B, l)][TABLE1_NS.index(n)])
+            for B, l, n in [(0.0, 0, 8), (0.0, 0, 512), (0.0, 2, 512), (2.0, 0, 512), (2.0, 2, 512),
+                            (5.0, 0, 512), (10.0, 1, 512), (10.0, 2, 512)]
         ],
     )
     def test_tracked_reference_values(self, B, l, n, expected):

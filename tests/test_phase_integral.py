@@ -360,30 +360,9 @@ class TestL3:
         assert checked >= 5
 
 
-# published six-digit comparison values: leading-order phase integral
-TABLE2_J0 = [
-    (0.0, 0, 2.34966),
-    (0.0, 1, 3.36536),
-    (0.0, 2, 4.25046),
-    (2.0, 0, 0.151574),
-    (2.0, 1, 2.23556),
-    (2.0, 2, 3.4322),
-    (5.0, 1, 0.0670229),
-    (5.0, 2, 2.02359),
-    (10.0, 2, -0.952484),
-]
-
-TABLE2_NUMEROV = {
-    (0.0, 0): 2.33811,
-    (0.0, 1): 3.36125,
-    (0.0, 2): 4.24818,
-    (2.0, 0): 0.194971,
-    (2.0, 1): 2.23816,
-    (2.0, 2): 3.43174,
-    (5.0, 1): 0.0811837,
-    (5.0, 2): 2.02688,
-    (10.0, 2): -0.943488,
-}
+# the published comparison (Table 2, s = 0): (B, l) -> (A_N, A_PhI at j = 0), six digits
+TABLE2 = oracles.reference.TABLE2
+TABLE2_J0 = [(B, l, a_phi) for (B, l), (_, a_phi) in TABLE2.items()]
 
 
 class TestQuantize:
@@ -405,7 +384,7 @@ class TestQuantize:
     def test_third_order_improves_on_leading(self):
         # the corrected condition lands closer to the matrix eigenvalue
         for B, l in ((0.0, 0), (0.0, 2), (2.0, 1), (5.0, 2)):
-            a_ref = TABLE2_NUMEROV[(B, l)]
+            a_ref = TABLE2[(B, l)][0]
             a0 = quantize(DimensionlessCase(B=B, l=l, s=0, j=0)).A
             a1 = quantize(DimensionlessCase(B=B, l=l, s=0, j=1)).A
             assert abs(a1 - a_ref) < abs(a0 - a_ref)
