@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands:
-  numerov   eigenvalues for one or more (B, l) cases, optionally as a
-            mesh-convergence table
+  numerov   eigenvalues of (B, l) cases: the lowest --levels, the
+            --tracked level or a --grids convergence table, one mode per run
   phase     phase-integral quantization for (B, l, s) cases, one walk
             per (B, l) serving all its s values
   compare   full sweep comparing both methods, emitted as CSV/JSON; one
@@ -11,34 +11,40 @@ Subcommands:
             a CSV column, or a freshly computed convergence table
 
 Every subcommand runs one spec, a report.RunConfig, which alone checks its
-values.  A flag stores its value under its config key, the field's name,
-and each field comes from the flag if given, else from the key of the JSON
-file named by --config, else from the subcommand's default:
+values.  A subcommand takes only the run flags it reads; a flag stores its
+value under its config key, the field's name, and each field comes from the
+flag if given, else from the key of the JSON file named by --config, else
+from the subcommand's default.  One config file serves every subcommand, so
+each of them checks every key:
 
-  key       flag     default
-  B_values  -B       [0]; compare [0, 2, 5, 10]; rates none
-  l_values  -l       [0]; compare [0, 1, 2]; rates none
-  s_values  -s       [0]    (phase, compare)
-  j         --order  1      (phase, compare)
-  z_min     --zmin   1e-4; 1e-5 for mesh sweeps (numerov --grids, rates)
-  z_max     --zmax   50;   20 for mesh sweeps
-  n         --grid   5000   (numerov without --grids, compare)
+  key       flag     taken by                 default
+  B_values  -B       all                      [0]; compare [0, 2, 5, 10]; rates none
+  l_values  -l       all                      [0]; compare [0, 1, 2]; rates none
+  s_values  -s       phase, compare           [0]
+  j         --order  phase, compare           1
+  z_min     --zmin   numerov, compare, rates  1e-4; 1e-5 for mesh sweeps (numerov --grids, rates)
+  z_max     --zmax   numerov, compare, rates  50;   20 for mesh sweeps
+  n         --grid   numerov, compare         5000 (numerov without --grids)
 
 s_values must not be empty, for every subcommand.  rates computes
 sequences only when both B and l values are given; the --values and --csv
-inputs take precedence over them.
+inputs take precedence over them.  Flags take no abbreviations.
 
 --out is accepted by phase (the levels as JSON) and compare (the table as
-CSV, the full diagnostics as JSON at OUT.json).
+CSV, the full diagnostics as JSON at OUT.json).  Each output file is opened
+for appending before the first case runs, which leaves an existing file as
+it is until the one final write.
 
 Exit codes: 0 full success (and --help); 1 configuration error, one
 "configuration error: ..." line on stderr before any case runs (a usage
-error such as an unknown flag or an unparsable value, an unreadable config,
-an unknown key, a value of the wrong type or range, numerov --levels
-outside 1..N-1, fewer than 3 --grids or a grid below 8 subintervals, rates
-without input, with a --csv table lacking the comparison columns or with a
-non-finite --values or --ref entry); 2 partial per-case failures (each
-reported as a FAILED line on stderr; the other cases still run).
+error such as an unknown flag, a flag the subcommand does not take, an
+unparsable value or two numerov modes at once, an unreadable config, an
+unknown key, a value of the wrong type or range, numerov --levels outside
+1..N-1, fewer than 3 --grids or a grid below 8 subintervals, rates without
+input, with a --csv table lacking the comparison columns or with a
+non-finite --values or --ref entry, an --out path that cannot be opened);
+2 partial per-case failures (each reported as a FAILED line on stderr; the
+other cases still run).
 """
 
 from __future__ import annotations
@@ -68,60 +74,61 @@ def _float_list(text: str) -> list[float]:
 
 
 class _Parser(argparse.ArgumentParser):
-    """A parser whose usage errors are configuration errors, reported by `main` (exit 1)."""
+    """A parser that takes no flag abbreviations and whose usage errors are configuration
+    errors, reported by `main` (exit 1).  Its subparsers are of this class too."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise DomainError(message)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+#: the run flags, in --help order: flag -> (RunConfig field, metavar, parser, help)
+RUN_FLAGS = {
+    "-B": ("B_values", "B", _float_list, "comma-separated B values"),
+    "-l": ("l_values", "L", _int_list, "comma-separated l values"),
+    "--grid": ("n", "GRID", int, "number of mesh subintervals N"),
+    "--zmin": ("z_min", "ZMIN", float, None),
+    "--zmax": ("z_max", "ZMAX", float, None),
+    "-s": ("s_values", "S", _int_list, "comma-separated radial indices s"),
+    "--order": ("j", "{0,1}", int, "truncation order j"),
+}
+
+
+def _subcommand(sub, name: str, help: str, run, flags: str) -> argparse.ArgumentParser:
+    """A subcommand's parser: --config and the run `flags` it reads (space-separated), in RUN_FLAGS order."""
+    p = sub.add_parser(name, help=help)
     p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("-B", dest="B_values", metavar="B", type=_float_list, help="comma-separated B values")
-    p.add_argument("-l", dest="l_values", metavar="L", type=_int_list, help="comma-separated l values")
-    p.add_argument("--grid", dest="n", metavar="GRID", type=int, help="number of mesh subintervals N")
-    p.add_argument("--zmin", dest="z_min", metavar="ZMIN", type=float)
-    p.add_argument("--zmax", dest="z_max", metavar="ZMAX", type=float)
-
-
-def _add_levels(p: argparse.ArgumentParser) -> None:
-    p.add_argument("-s", dest="s_values", metavar="S", type=_int_list, help="comma-separated radial indices s")
-    p.add_argument("--order", dest="j", metavar="{0,1}", type=int, help="truncation order j")
+    for flag, (dest, metavar, kind, text) in RUN_FLAGS.items():
+        if flag in flags.split():
+            p.add_argument(flag, dest=dest, metavar=metavar, type=kind, help=text)
+    p.set_defaults(run=run)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="cornellbound", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("numerov", help="Numerov eigenvalues / convergence table")
-    _add_common(p)
-    p.add_argument("--levels", type=int, default=1, help="number of lowest levels")
-    p.add_argument("--grids", type=_int_list, default=None, help="mesh sweep, e.g. 8,16,32,64")
-    p.add_argument(
-        "--tracked",
-        action="store_true",
-        help="report the smallest-|A| level instead of the ground level",
-    )
-    p.set_defaults(run=cmd_numerov)
+    p = _subcommand(sub, "numerov", "Numerov eigenvalues / convergence table", cmd_numerov, "-B -l --grid --zmin --zmax")
+    mode = p.add_mutually_exclusive_group()
+    # no default: argparse lets a value that is the default itself (a cached small int) past the exclusion
+    mode.add_argument("--levels", type=int, help="number of lowest levels (default 1)")
+    mode.add_argument("--grids", type=_int_list, help="mesh sweep, e.g. 8,16,32,64")
+    mode.add_argument("--tracked", action="store_true", help="report the smallest-|A| level instead of the ground level")
 
-    p = sub.add_parser("phase", help="phase-integral quantization")
-    _add_common(p)
-    _add_levels(p)
+    p = _subcommand(sub, "phase", "phase-integral quantization", cmd_phase, "-B -l -s --order")
     p.add_argument("--out", default=None, help="write the levels as JSON to OUT")
-    p.set_defaults(run=cmd_phase)
 
-    p = sub.add_parser("compare", help="sweep both methods and emit |Delta A| tables")
-    _add_common(p)
-    _add_levels(p)
+    p = _subcommand(sub, "compare", "sweep both methods and emit |Delta A| tables", cmd_compare, " ".join(RUN_FLAGS))
     p.add_argument("--out", default=None, help="output path (CSV); JSON goes to OUT.json")
-    p.set_defaults(run=cmd_compare)
 
-    p = sub.add_parser("rates", help="convergence-rate diagnostics N_k / M_k")
-    _add_common(p)
+    p = _subcommand(sub, "rates", "convergence-rate diagnostics N_k / M_k", cmd_rates, "-B -l --zmin --zmax")
     p.add_argument("--values", type=_float_list, default=None, help="explicit eigenvalue sequence")
     p.add_argument("--csv", default=None, help="read the A_N column of a comparison CSV")
     p.add_argument("--grids", type=_int_list, default=(8, 16, 32, 64, 128, 256, 512))
     p.add_argument("--ref", type=float, default=None, help="reference value: also print M_k")
-    p.set_defaults(run=cmd_rates)
     return ap
 
 
@@ -168,7 +175,8 @@ def cmd_numerov(args) -> int:
     config = resolve_config(args, B_values=[0.0], l_values=[0], **sweep)
     grid = config.grid()
     grids = [] if args.grids is None else _sweep_grids(config, args.grids)
-    if not (args.grids or args.tracked or 1 <= args.levels < config.n):
+    levels = 1 if args.levels is None else args.levels
+    if not (args.grids or args.tracked or 1 <= levels < config.n):
         raise DomainError(f"--levels must be between 1 and {config.n - 1}")
     _header()
     failures = 0
@@ -183,7 +191,7 @@ def cmd_numerov(args) -> int:
                 elif args.tracked:
                     print(f"{label}  tracked A = {numerov.tracked_level(case, grid):.10g}")
                 else:
-                    spec = numerov.solve(case, grid, args.levels)
+                    spec = numerov.solve(case, grid, levels)
                     print(f"{label}  A = " + "  ".join(f"{v:.10g}" for v in spec.eigenvalues))
             except CornellboundError as exc:
                 failures += 1
@@ -193,6 +201,8 @@ def cmd_numerov(args) -> int:
 
 def cmd_phase(args) -> int:
     config = resolve_config(args, B_values=[0.0], l_values=[0])
+    if args.out:  # claimed before the first case; appending leaves an existing file as it is
+        open(args.out, "a", encoding="utf-8").close()
     _header()
     failures = 0
     results = []
@@ -237,6 +247,9 @@ def cmd_phase(args) -> int:
 
 def cmd_compare(args) -> int:
     config = resolve_config(args)
+    if args.out:  # both files claimed as in cmd_phase
+        for path in (args.out, f"{args.out}.json"):
+            open(path, "a", encoding="utf-8").close()
     _header()
     rows = report.compare_sweep(config)
     for r in rows:
@@ -249,7 +262,7 @@ def cmd_compare(args) -> int:
             )
     if args.out:
         report.write_csv([r for r in rows if r.error is None], args.out)
-        report.write_json(rows, str(args.out) + ".json")
+        report.write_json(rows, f"{args.out}.json")
         print(f"# wrote {args.out} and {args.out}.json")
     return 2 if any(r.error for r in rows) else 0
 

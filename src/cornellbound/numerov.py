@@ -195,22 +195,11 @@ class NumerovSystem:
 
 @dataclass
 class Spectrum:
-    """Ascending eigenvalues (and optional eigenvectors) of one case."""
+    """Ascending eigenvalues of one case, their orthonormal eigenvectors as columns, and diagnostics."""
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray | None = None
+    eigenvectors: np.ndarray
     diagnostics: dict = field(default_factory=dict)
-
-    def tracked_value(self) -> float:
-        """The level the reference tables track: smallest |A|.
-
-        With a strong Coulomb term and small l, levels collapse toward the
-        origin and drop far below the linear-regime states; the published
-        convergence tables follow the state of smallest magnitude instead
-        of the absolute ground state.
-        """
-        w = self.eigenvalues
-        return float(w[np.argmin(np.abs(w))])
 
 
 def effective_potential(case: DimensionlessCase, z):
@@ -255,9 +244,9 @@ def nonpositive_count(d: np.ndarray) -> int:
 
 
 @lru_cache(maxsize=16)
-def _bhat_factor(n: int, main: float, off: float) -> tuple[np.ndarray, np.ndarray]:
+def _bhat_factor(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The `dpttrf` factors of the positive definite Bhat of n nodes."""
-    d, e, info = dpttrf(np.full(n, main), np.full(n - 1, off))
+    d, e, info = dpttrf(np.full(n, NumerovSystem.b_main), np.full(n - 1, NumerovSystem.b_off))
     _check_info("dpttrf", info)
     d.flags.writeable = e.flags.writeable = False
     return d, e
@@ -296,7 +285,7 @@ class _Levels:
         self.diagonal = system.b_main * v - system.a_main
         off = system.b_off * v - system.a_off
         self.lower, self.upper = off[:-1], off[1:]
-        self.bhat = _bhat_factor(system.size, system.b_main, system.b_off)
+        self.bhat = _bhat_factor(system.size)
         # rounding a count or a solve moves a level by about eps times the extent of the spectrum
         self.noise = 16.0 * np.finfo(float).eps * max(abs(self.floor), abs(self.ceiling))
         # probes sigma -> count_below(sigma), both ascending; the two ends hold by the bound, not by a count
@@ -477,7 +466,7 @@ class _Levels:
                 self.found[k] = (a, psi, self._bracket(k))
                 if self.count_below(far) == m:
                     return a
-        return Spectrum(np.array([self.level(k)[0] for k in (m, m + 1)])).tracked_value()
+        return min((self.level(k)[0] for k in (m, m + 1)), key=abs)
 
     def diagnostics(self, count: int) -> dict:
         levels = [{"index": k, "bracket": self.found[k][2]} for k in range(1, count + 1)]
@@ -490,7 +479,7 @@ class _Levels:
         }
 
 
-def solve(case: DimensionlessCase, grid: Grid, count: int, eigenvectors: bool = False) -> Spectrum:
+def solve(case: DimensionlessCase, grid: Grid, count: int) -> Spectrum:
     """The `count` smallest dimensionless levels A on the given grid.
 
     Levels come in ascending order from `_Levels.level`: Sturm counts
@@ -506,14 +495,16 @@ def solve(case: DimensionlessCase, grid: Grid, count: int, eigenvectors: bool = 
     if not (1 <= count <= n):
         raise DomainError(f"count must be between 1 and {n}")
     levels = _Levels(assemble(case, grid))
-    found = [levels.level(k) for k in range(1, count + 1)]
-    w = np.array([a for a, _, _ in found])
-    psi = np.column_stack([x for _, x, _ in found]) if eigenvectors else None
-    return Spectrum(w, psi, levels.diagnostics(count))
+    w, psi, _ = zip(*(levels.level(k) for k in range(1, count + 1)))
+    return Spectrum(np.array(w), np.column_stack(psi), levels.diagnostics(count))
 
 
 def tracked_level(case: DimensionlessCase, grid: Grid) -> float:
     """Smallest-|A| level among the lowest `TRACKED_WINDOW` eigenvalues.
+
+    The published convergence tables track this level, not the ground
+    state: with a strong Coulomb term and small l, levels collapse toward
+    the origin and drop far below the linear-regime states.
 
     One Sturm count at 0 gives m, the number of negative levels; the window
     caps the answer at its top level, and otherwise it is level m or m + 1.

@@ -104,19 +104,22 @@ def _finite(values) -> list[float]:
     return values
 
 
+def _log2_ratios(errors: list[float], k0: int, degenerate: str) -> list[float]:
+    """log2(e[i - 1] / e[i]) for i >= 1, the rate at k = k0 + i; a zero error is `degenerate` at that k."""
+    out = []
+    for i in range(1, len(errors)):
+        if errors[i] == 0.0 or errors[i - 1] == 0.0:
+            raise DegenerateDifferenceError(f"{degenerate} at k={k0 + i}")
+        out.append(math.log2(errors[i - 1] / errors[i]))
+    return out
+
+
 def rate_N(values) -> list[float]:
     """Empirical mesh-refinement rates from an eigenvalue sequence."""
     values = _finite(values)
     if len(values) < 3:
         raise DomainError("need at least 3 values for N_k")
-    out = []
-    for k in range(2, len(values)):
-        num = abs(values[k - 2] - values[k - 1])
-        den = abs(values[k - 1] - values[k])
-        if den == 0.0 or num == 0.0:
-            raise DegenerateDifferenceError(f"consecutive values coincide at k={k}")
-        out.append(math.log2(num / den))
-    return out
+    return _log2_ratios([abs(a - b) for a, b in zip(values, values[1:])], 1, "consecutive values coincide")
 
 
 def rate_M(values, A_ref: float) -> list[float]:
@@ -124,14 +127,7 @@ def rate_M(values, A_ref: float) -> list[float]:
     *values, A_ref = _finite([*values, A_ref])
     if len(values) < 2:
         raise DomainError("need at least 2 values for M_k")
-    out = []
-    for k in range(1, len(values)):
-        num = abs(values[k - 1] - A_ref)
-        den = abs(values[k] - A_ref)
-        if den == 0.0 or num == 0.0:
-            raise DegenerateDifferenceError(f"value equals the reference at k={k}")
-        out.append(math.log2(num / den))
-    return out
+    return _log2_ratios([abs(v - A_ref) for v in values], 0, "value equals the reference")
 
 
 def compare_case(B: float, l: int, s: int, j: int, A_N: float) -> ComparisonRow:
@@ -183,7 +179,7 @@ def compare_sweep(config: RunConfig) -> list[ComparisonRow]:
             for s, level in zip(s_values, levels):
                 row = ComparisonRow(B=B, l=l, s=s, j=config.j, A_N=float(spectrum.eigenvalues[s]))
                 rows.append(_paired(row, level))
-    rows.sort(key=lambda r: (r.B, r.l, r.s, r.j))
+    rows.sort(key=lambda r: (r.B, r.l, r.s, r.j))  # a repeated B or l value repeats a whole block
     return rows
 
 

@@ -346,6 +346,17 @@ def test_flag_and_config_key_fail_alike(capsys, tmp_path, command, flag, cfg, me
         (["numerov", "--levels"], "argument --levels: expected one argument"),
         (["no-such-command"], "argument command: invalid choice"),
         ([], "the following arguments are required: command"),
+        # a subcommand takes only the run flags it reads
+        (["phase", "--grid", "600"], "unrecognized arguments: --grid 600"),
+        (["phase", "--zmin", "1e-4"], "unrecognized arguments: --zmin 1e-4"),
+        (["phase", "--zmax", "20"], "unrecognized arguments: --zmax 20"),
+        (["rates", "-B", "0", "-l", "0", "--grid", "600"], "unrecognized arguments: --grid 600"),
+        # numerov runs one mode
+        (["numerov", "--tracked", "--grids", "8,16,32"], "argument --grids: not allowed with argument --tracked"),
+        (["numerov", "--levels", "2", "--tracked"], "argument --tracked: not allowed with argument --levels"),
+        (["numerov", "--levels", "1", "--tracked"], "argument --tracked: not allowed with argument --levels"),
+        # a flag has one spelling
+        (["numerov", "--lev", "2"], "unrecognized arguments: --lev 2"),
     ],
 )
 def test_usage_error_is_configuration_error(capsys, argv, message):
@@ -359,11 +370,34 @@ def test_usage_error_is_configuration_error(capsys, argv, message):
 @pytest.mark.parametrize("command", ["numerov", "rates"])
 def test_out_is_rejected_where_nothing_is_written(capsys, tmp_path, command):
     out_path = tmp_path / "n.csv"
-    assert run([command, "-B", "0", "-l", "0", "--grid", "200", "--out", str(out_path)]) == 1
+    assert run([command, "-B", "0", "-l", "0", "--out", str(out_path)]) == 1
     captured = capsys.readouterr()
     assert "configuration error: unrecognized arguments: --out" in captured.err
     assert captured.out == ""
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["phase", "-B", "0", "-l", "0"], ["compare", "-B", "0", "-l", "0", "-s", "0", "--grid", "200", "--zmax", "20"]],
+    ids=["phase", "compare"],
+)
+def test_out_that_cannot_be_opened_fails_before_the_first_case(capsys, tmp_path, argv):
+    assert run([*argv, "--out", str(tmp_path / "missing" / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("configuration error: [Errno 2] No such file or directory")
+
+
+def test_compare_keeps_an_existing_out_when_out_json_cannot_be_opened(capsys, tmp_path):
+    out = tmp_path / "table.csv"
+    out.write_text("kept\n", encoding="utf-8")
+    (tmp_path / "table.csv.json").mkdir()
+    assert run(["compare", "-B", "0", "-l", "0", "-s", "0", "--grid", "200", "--zmax", "20", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("configuration error: ")
+    assert out.read_text(encoding="utf-8") == "kept\n"
 
 
 @pytest.mark.parametrize("command", [[], ["numerov"], ["phase"], ["compare"], ["rates"]])

@@ -151,7 +151,7 @@ class TestSpectrum:
     def test_pencil_residual_small(self):
         case = DimensionlessCase(B=5.0, l=0)
         g = Grid(**REF, n=400)
-        spec = solve(case, g, 4, eigenvectors=True)
+        spec = solve(case, g, 4)
         sys = assemble(case, g)
         scale = np.max(np.abs(sys.left_matrix()))
         for k in range(4):
@@ -162,7 +162,7 @@ class TestSpectrum:
         # eigenvectors of the symmetric equivalent operator; the raw pencil
         # eigenvectors would only be approximately Bhat-orthogonal
         case = DimensionlessCase(B=2.0, l=2)
-        spec = solve(case, Grid(**REF, n=300), 5, eigenvectors=True)
+        spec = solve(case, Grid(**REF, n=300), 5)
         gram = spec.eigenvectors.T @ spec.eigenvectors
         assert np.allclose(gram, np.eye(5), atol=1e-10)
 
@@ -188,7 +188,7 @@ class TestSpectrum:
         # small and large systems, few levels and up to every level but one
         case = DimensionlessCase(B=B, l=l)
         g = Grid(**REF, n=n)
-        spec = solve(case, g, count, eigenvectors=True)
+        spec = solve(case, g, count)
         assert spec.diagnostics["solver"] == "sturm"
         w, psi = spec.eigenvalues, spec.eigenvectors
         sys = assemble(case, g)
@@ -231,8 +231,8 @@ class TestSpectrum:
         # the levels, the vectors and the counts behind them all repeat exactly
         case = DimensionlessCase(B=10.0, l=0)
         g = Grid(**REF, n=512)
-        first = solve(case, g, 16, eigenvectors=True)
-        second = solve(case, g, 16, eigenvectors=True)
+        first = solve(case, g, 16)
+        second = solve(case, g, 16)
         assert first.diagnostics["solver"] == "sturm"
         assert first.diagnostics == second.diagnostics
         assert np.array_equal(first.eigenvalues, second.eigenvalues)
@@ -270,7 +270,7 @@ class TestSpectrum:
 
         monkeypatch.setattr(numerov, "eig", forbidden)
         monkeypatch.setattr(numerov, "eigh", forbidden)
-        spec = solve(DimensionlessCase(B=B, l=l), Grid(**REF, n=n), count, eigenvectors=True)
+        spec = solve(DimensionlessCase(B=B, l=l), Grid(**REF, n=n), count)
         assert spec.diagnostics["solver"] == "sturm"
         assert spec.eigenvalues.shape == (count,) and spec.eigenvectors.shape == (n - 1, count)
 
@@ -304,7 +304,7 @@ class TestSpectrum:
 
         expected = solve(case, g, 66).eigenvalues
         monkeypatch.setattr(numerov, "dgttrf", singular)
-        spec = solve(case, g, 66, eigenvectors=True)
+        spec = solve(case, g, 66)
         assert reported == [66]
         w, psi = spec.eigenvalues, spec.eigenvectors
         assert np.allclose(w, expected, rtol=1e-12, atol=1e-12)
@@ -333,7 +333,7 @@ class TestSpectrum:
 
         monkeypatch.setattr(numerov, "eig", forbidden)
         monkeypatch.setattr(numerov, "eigh", forbidden)
-        spec = solve(DimensionlessCase(B=2.0, l=0), Grid(**REF, n=n), 1, eigenvectors=True)
+        spec = solve(DimensionlessCase(B=2.0, l=0), Grid(**REF, n=n), 1)
         assert spec.diagnostics["solver"] == "sturm"
         assert spec.eigenvalues.shape == (1,) and spec.eigenvectors.shape == (n - 1, 1)
 
@@ -393,7 +393,7 @@ def test_one_level_by_inverse_iteration(B, l, n):
     its eigenvector solves the pencil and has unit norm."""
     case = DimensionlessCase(B=B, l=l)
     g = Grid(**REF, n=n)
-    spec = solve(case, g, 1, eigenvectors=True)
+    spec = solve(case, g, 1)
     a, psi = float(spec.eigenvalues[0]), spec.eigenvectors[:, 0]
     scale = max(1.0, abs(a))
     assert spec.diagnostics["solver"] == "sturm"
@@ -456,9 +456,9 @@ class TestGoldenValues:
     def test_tracked_vs_ground_differ_for_strong_coulomb(self):
         # deep Coulomb-collapsed levels sit far below the tracked one
         g = Grid(**REF, n=512)
-        spec = solve(DimensionlessCase(B=10.0, l=0), g, 16)
-        assert spec.eigenvalues[0] < -3.0
-        assert abs(spec.tracked_value() - (-0.37306)) < 1e-3
+        case = DimensionlessCase(B=10.0, l=0)
+        assert solve(case, g, 16).eigenvalues[0] < -3.0
+        assert abs(tracked_level(case, g) - (-0.37306)) < 1e-3
 
 
 def window_levels(case: DimensionlessCase, grid: Grid) -> np.ndarray:

@@ -170,6 +170,12 @@ class TestCompare:
                 alone.A_PhI, alone.delta_A, alone.residual, alone.C_abs, alone.u0
             )
 
+    def test_sweep_sorts_the_rows_of_repeated_values(self):
+        # the loops emit a repeated B or l value's block of rows once per repeat, out of (B, l, s) order
+        cfg = RunConfig(B_values=[2.0, 0.0, 2.0], l_values=[1, 0, 1], s_values=[1, 0], z_max=20.0, n=200)
+        keys = [(r.B, r.l, r.s) for r in compare_sweep(cfg)]
+        assert len(keys) == 18 and keys == sorted(keys)
+
     def test_sweep_records_a_failed_level_and_keeps_the_rest(self, monkeypatch):
         real = phase_integral.quantize_ladder
 
@@ -217,10 +223,10 @@ class TestCompare:
         real = numerov.solve
 
         def failing(error):
-            def solve(case, grid, count, eigenvectors=False):
+            def solve(case, grid, count):
                 if case.B == 2.0:
                     raise error
-                return real(case, grid, count, eigenvectors)
+                return real(case, grid, count)
 
             return solve
 
