@@ -1,34 +1,34 @@
 """Command-line interface.
 
 Subcommands:
-  numerov   eigenvalues of (B, l) cases: the lowest --levels, the
-            --tracked level or a --grids convergence table, one mode per run
-  phase     phase-integral quantization for (B, l, s) cases, one walk
-            per (B, l) serving all its s values
-  compare   full sweep comparing both methods, emitted as CSV/JSON; one
-            Numerov solve and one phase walk per (B, l)
-  rates     N_k (and optionally M_k) convergence rates from a value list,
-            a CSV column, or a freshly computed convergence table
+  numerov      eigenvalues of (B, l) cases: the lowest --levels or the
+               --tracked level
+  convergence  the mesh-refinement table of the tracked level for (B, l)
+               cases, each followed by its N_k (and with --ref M_k) rates
+  phase        phase-integral quantization for (B, l, s) cases, one walk
+               per (B, l) serving all its s values
+  compare      full sweep comparing both methods, emitted as CSV/JSON; one
+               Numerov solve and one phase walk per (B, l)
+  rates        N_k (and with --ref M_k) rates of the --values sequence
 
-Every subcommand runs one spec, a report.RunConfig, which alone checks its
-values.  A subcommand takes only the run flags it reads; a flag stores its
-value under its config key, the field's name, and each field comes from the
-flag if given, else from the key of the JSON file named by --config, else
-from the subcommand's default.  One config file serves every subcommand, so
-each of them checks every key:
+Every subcommand but rates runs one spec, a report.RunConfig, which alone
+checks its values.  A subcommand takes only the run flags it reads; a flag
+stores its value under its config key, the field's name, and each field
+comes from the flag if given, else from the key of the JSON file named by
+--config, else from the subcommand's default.  One config file serves every
+subcommand that takes --config, so each of them checks every key:
 
-  key       flag     taken by                 default
-  B_values  -B       all                      [0]; compare [0, 2, 5, 10]; rates none
-  l_values  -l       all                      [0]; compare [0, 1, 2]; rates none
-  s_values  -s       phase, compare           [0]
-  j         --order  phase, compare           1
-  z_min     --zmin   numerov, compare, rates  1e-4; 1e-5 for mesh sweeps (numerov --grids, rates)
-  z_max     --zmax   numerov, compare, rates  50;   20 for mesh sweeps
-  n         --grid   numerov, compare         5000 (numerov without --grids)
+  key       flag     taken by                       default
+  B_values  -B       all but rates                  [0]; compare [0, 2, 5, 10]
+  l_values  -l       all but rates                  [0]; compare [0, 1, 2]
+  s_values  -s       phase, compare                 [0]
+  j         --order  phase, compare                 1
+  z_min     --zmin   numerov, convergence, compare  1e-4; convergence 1e-5
+  z_max     --zmax   numerov, convergence, compare  50;   convergence 20
+  n         --grid   numerov, compare               5000
 
-s_values must not be empty, for every subcommand.  rates computes
-sequences only when both B and l values are given; the --values and --csv
-inputs take precedence over them.  Flags take no abbreviations.
+s_values must not be empty, for every subcommand that takes --config.
+rates takes only --values and --ref.  Flags take no abbreviations.
 
 --out is accepted by phase (the levels as JSON) and compare (the table as
 CSV, the full diagnostics as JSON at OUT.json).  Each output file is opened
@@ -37,14 +37,13 @@ it is until the one final write.
 
 Exit codes: 0 full success (and --help); 1 configuration error, one
 "configuration error: ..." line on stderr before any case runs (a usage
-error such as an unknown flag, a flag the subcommand does not take, an
-unparsable value or two numerov modes at once, an unreadable config, an
-unknown key, a value of the wrong type or range, numerov --levels outside
-1..N-1, fewer than 3 --grids or a grid below 8 subintervals, rates without
-input, with a --csv table lacking the comparison columns or with a
-non-finite --values or --ref entry, an --out path that cannot be opened);
-2 partial per-case failures (each reported as a FAILED line on stderr; the
-other cases still run).
+error such as an unknown flag, a flag the subcommand does not take, a
+missing --values, an unparsable value or two numerov modes at once, an
+unreadable config, an unknown key, a value of the wrong type or range,
+numerov --levels outside 1..N-1, fewer than 3 --grids or a grid below 8
+subintervals, a non-finite --values or --ref entry, an --out path that
+cannot be opened); 2 partial per-case failures (each reported as a FAILED
+line on stderr; the other cases still run).
 """
 
 from __future__ import annotations
@@ -60,9 +59,6 @@ from . import numerov, phase_integral, report
 from .errors import CornellboundError, DomainError
 from .model import DimensionlessCase
 from .numerov import Grid
-
-#: the mesh-sweep domain of the reference convergence tables
-SWEEP_DOMAIN = {"z_min": numerov.SWEEP_Z_MIN, "z_max": numerov.SWEEP_Z_MAX}
 
 
 def _int_list(text: str) -> list[int]:
@@ -96,10 +92,12 @@ RUN_FLAGS = {
 }
 
 
-def _subcommand(sub, name: str, help: str, run, flags: str) -> argparse.ArgumentParser:
-    """A subcommand's parser: --config and the run `flags` it reads (space-separated), in RUN_FLAGS order."""
+def _subcommand(sub, name: str, help: str, run, flags: str = "") -> argparse.ArgumentParser:
+    """A subcommand's parser with the run `flags` it reads (space-separated), in RUN_FLAGS order,
+    and --config if it reads any."""
     p = sub.add_parser(name, help=help)
-    p.add_argument("--config", help="JSON config file; flags override its values")
+    if flags:
+        p.add_argument("--config", help="JSON config file; flags override its values")
     for flag, (dest, metavar, kind, text) in RUN_FLAGS.items():
         if flag in flags.split():
             p.add_argument(flag, dest=dest, metavar=metavar, type=kind, help=text)
@@ -111,12 +109,15 @@ def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="cornellbound", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = _subcommand(sub, "numerov", "Numerov eigenvalues / convergence table", cmd_numerov, "-B -l --grid --zmin --zmax")
+    p = _subcommand(sub, "numerov", "Numerov eigenvalues", cmd_numerov, "-B -l --grid --zmin --zmax")
     mode = p.add_mutually_exclusive_group()
     # no default: argparse lets a value that is the default itself (a cached small int) past the exclusion
     mode.add_argument("--levels", type=int, help="number of lowest levels (default 1)")
-    mode.add_argument("--grids", type=_int_list, help="mesh sweep, e.g. 8,16,32,64")
     mode.add_argument("--tracked", action="store_true", help="report the smallest-|A| level instead of the ground level")
+
+    p = _subcommand(sub, "convergence", "mesh-refinement table and rates", cmd_convergence, "-B -l --zmin --zmax")
+    p.add_argument("--grids", type=_int_list, default=(8, 16, 32, 64, 128, 256, 512), help="the N of each mesh")
+    p.add_argument("--ref", type=float, default=None, help="reference value: also print M_k")
 
     p = _subcommand(sub, "phase", "phase-integral quantization", cmd_phase, "-B -l -s --order")
     p.add_argument("--out", default=None, help="write the levels as JSON to OUT")
@@ -124,10 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = _subcommand(sub, "compare", "sweep both methods and emit |Delta A| tables", cmd_compare, " ".join(RUN_FLAGS))
     p.add_argument("--out", default=None, help="output path (CSV); JSON goes to OUT.json")
 
-    p = _subcommand(sub, "rates", "convergence-rate diagnostics N_k / M_k", cmd_rates, "-B -l --zmin --zmax")
-    p.add_argument("--values", type=_float_list, default=None, help="explicit eigenvalue sequence")
-    p.add_argument("--csv", default=None, help="read the A_N column of a comparison CSV")
-    p.add_argument("--grids", type=_int_list, default=(8, 16, 32, 64, 128, 256, 512))
+    p = _subcommand(sub, "rates", "convergence-rate diagnostics N_k / M_k of a value list", cmd_rates)
+    p.add_argument("--values", type=_float_list, required=True, help="explicit eigenvalue sequence")
     p.add_argument("--ref", type=float, default=None, help="reference value: also print M_k")
     return ap
 
@@ -154,14 +153,6 @@ def resolve_config(args, **defaults) -> report.RunConfig:
     return report.RunConfig(**{**defaults, **cfg, **flags})
 
 
-def _sweep_grids(config: report.RunConfig, ns: list[int]) -> list[Grid]:
-    """The --grids meshes of a convergence table, checked before any case runs."""
-    grids = [Grid(config.z_min, config.z_max, n) for n in ns]
-    if len(grids) < 3:
-        raise DomainError("--grids needs at least 3 grids for a convergence table")
-    return grids
-
-
 def _header() -> None:
     print(f"# cornellbound | adopted convention: {report.B_DEFINITION}")
 
@@ -170,33 +161,75 @@ def _report_failure(label: str, exc: CornellboundError) -> None:
     print(f"{label}  FAILED: {exc}", file=sys.stderr)
 
 
-def cmd_numerov(args) -> int:
-    sweep = SWEEP_DOMAIN if args.grids else {}
-    config = resolve_config(args, B_values=[0.0], l_values=[0], **sweep)
-    grid = config.grid()
-    grids = [] if args.grids is None else _sweep_grids(config, args.grids)
-    levels = 1 if args.levels is None else args.levels
-    if not (args.grids or args.tracked or 1 <= levels < config.n):
-        raise DomainError(f"--levels must be between 1 and {config.n - 1}")
+def _check_rate_inputs(*values: float | None) -> None:
+    if not all(math.isfinite(v) for v in values if v is not None):
+        raise DomainError("--values and --ref must be finite")
+
+
+def _rate_lines(values: list[float], ref: float | None):
+    """The N_k line of `values`, then its M_k line if `ref` is given."""
+    yield "N_k = " + ", ".join(f"{v:.2f}" for v in report.rate_N(values))
+    if ref is not None:
+        yield "M_k = " + ", ".join(f"{v:.2f}" for v in report.rate_M(values, ref))
+
+
+def _print_cases(cases) -> int:
+    """Print the header, then for each `(label, lines)` case every line of `lines`, after the label.
+
+    `lines` makes each line as it is read, so a case that raises a package
+    error gets a FAILED line on stderr after the lines it printed, and the
+    other cases still run.  Returns the exit code: 2 if any case failed,
+    else 0.
+    """
     _header()
     failures = 0
-    for B in config.B_values:
-        for l in config.l_values:
-            label = f"B={B:g} l={l}"
-            try:
-                case = DimensionlessCase(B=B, l=l)
-                if args.grids:
-                    table = numerov.convergence_table(case, grids)
-                    print(f"{label}  " + "  ".join(f"N={n}: {a:.6g}" for n, a in table))
-                elif args.tracked:
-                    print(f"{label}  tracked A = {numerov.tracked_level(case, grid):.10g}")
-                else:
-                    spec = numerov.solve(case, grid, levels)
-                    print(f"{label}  A = " + "  ".join(f"{v:.10g}" for v in spec.eigenvalues))
-            except CornellboundError as exc:
-                failures += 1
-                _report_failure(label, exc)
+    for label, lines in cases:
+        try:
+            for line in lines:
+                print(f"{label}  {line}")
+        except CornellboundError as exc:
+            failures += 1
+            _report_failure(label, exc)
     return 2 if failures else 0
+
+
+def _print_each_case(config: report.RunConfig, lines) -> int:
+    """`_print_cases` over the (B, l) cases of `config`, the generator `lines(case)` making a case's lines."""
+    return _print_cases(
+        (f"B={B:g} l={l}", lines(DimensionlessCase(B=B, l=l))) for B in config.B_values for l in config.l_values
+    )
+
+
+def cmd_numerov(args) -> int:
+    config = resolve_config(args, B_values=[0.0], l_values=[0])
+    grid = config.grid()
+    levels = 1 if args.levels is None else args.levels
+    if not (args.tracked or 1 <= levels < config.n):
+        raise DomainError(f"--levels must be between 1 and {config.n - 1}")
+
+    def lines(case):
+        if args.tracked:
+            yield f"tracked A = {numerov.tracked_level(case, grid):.10g}"
+        else:
+            yield "A = " + "  ".join(f"{v:.10g}" for v in numerov.solve(case, grid, levels).eigenvalues)
+
+    return _print_each_case(config, lines)
+
+
+def cmd_convergence(args) -> int:
+    sweep = {"z_min": numerov.SWEEP_Z_MIN, "z_max": numerov.SWEEP_Z_MAX}
+    config = resolve_config(args, B_values=[0.0], l_values=[0], **sweep)
+    _check_rate_inputs(args.ref)
+    grids = [Grid(config.z_min, config.z_max, n) for n in args.grids]
+    if len(grids) < 3:
+        raise DomainError("--grids needs at least 3 grids for a convergence table")
+
+    def lines(case):
+        table = numerov.convergence_table(case, grids)
+        yield "  ".join(f"N={n}: {a:.6g}" for n, a in table)
+        yield from _rate_lines([a for _, a in table], args.ref)
+
+    return _print_each_case(config, lines)
 
 
 def cmd_phase(args) -> int:
@@ -239,9 +272,7 @@ def cmd_phase(args) -> int:
             }
             for r in results
         ]
-        text = json.dumps(payload, indent=2) + "\n"
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        report.dump_json(payload, args.out)
     return 2 if failures else 0
 
 
@@ -268,40 +299,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_rates(args) -> int:
-    config = resolve_config(args, B_values=[], l_values=[], **SWEEP_DOMAIN)
-    explicit = (args.values or []) + ([] if args.ref is None else [args.ref])
-    if not all(map(math.isfinite, explicit)):
-        raise DomainError("--values and --ref must be finite")
-    grids = _sweep_grids(config, args.grids)
-    failures = 0
-    sequences = []
-    if args.values is not None:
-        sequences.append(("values", args.values))
-    elif args.csv is not None:
-        sequences.append((args.csv, [r.A_N for r in report.read_csv(args.csv)]))
-    elif config.B_values and config.l_values:
-        for B in config.B_values:
-            for l in config.l_values:
-                label = f"B={B:g} l={l}"
-                try:
-                    table = numerov.convergence_table(DimensionlessCase(B=B, l=l), grids)
-                except CornellboundError as exc:
-                    failures += 1
-                    _report_failure(label, exc)
-                    continue
-                sequences.append((label, [a for _, a in table]))
-    else:
-        raise DomainError("rates: need --values, --csv, or -B and -l")
-    _header()
-    for label, seq in sequences:
-        try:
-            print(f"{label}  N_k = " + ", ".join(f"{v:.2f}" for v in report.rate_N(seq)))
-            if args.ref is not None:
-                print(f"{label}  M_k = " + ", ".join(f"{v:.2f}" for v in report.rate_M(seq, args.ref)))
-        except CornellboundError as exc:
-            failures += 1
-            _report_failure(label, exc)
-    return 2 if failures else 0
+    _check_rate_inputs(*args.values, args.ref)
+    return _print_cases([("values", _rate_lines(args.values, args.ref))])
 
 
 @functools.cache

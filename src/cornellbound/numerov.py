@@ -451,7 +451,10 @@ class _Levels:
         0 find the level nearest 0; counts then prove its index (m + 1 at or
         above 0, m below) and that the level on the other side of 0 lies
         farther out.  When the proof fails, both candidates are found by
-        `level`.
+        `level`.  The proof is kept for speed: finding both candidates every
+        time gives the same levels to within 4e-15 but made the slow rows of
+        the Table 1 mesh sweep (p90 time per row) 1.6 to 1.9 times slower on
+        a shared 2-core host.
         """
         m = self.count_below(0.0)
         if m == 0 or m >= window:

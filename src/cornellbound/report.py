@@ -230,9 +230,13 @@ def rows_to_json(rows: list[ComparisonRow]) -> list[dict]:
     return out
 
 
-def write_json(rows: list[ComparisonRow], path) -> None:
-    """Full per-case diagnostics, one object per case."""
-    payload = {"B_definition": B_DEFINITION, "cases": rows_to_json(rows)}
+def dump_json(payload, path) -> None:
+    """Write `payload` to `path` as indented UTF-8 JSON, in one write after it is serialized."""
     text = json.dumps(payload, indent=2, default=str) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
+
+
+def write_json(rows: list[ComparisonRow], path) -> None:
+    """Full per-case diagnostics, one object per case."""
+    dump_json({"B_definition": B_DEFINITION, "cases": rows_to_json(rows)}, path)

@@ -45,6 +45,8 @@ def sweep_values(B, l, ns, z_max):
 
 
 class TestNumerovCommand:
+    """`numerov` and `convergence`, the two subcommands that run the Numerov engine."""
+
     def test_basic(self, capsys):
         code = run(["numerov", "-B", "0", "-l", "0", "--grid", "400", "--zmin", "1e-5", "--zmax", "20"])
         out = capsys.readouterr().out
@@ -62,10 +64,14 @@ class TestNumerovCommand:
         assert "0.4439" in out or "0.444" in out
 
     def test_convergence_sweep(self, capsys):
-        code = run(["numerov", "-B", "0", "-l", "0", "--grids", "64,128,256"])
-        out = capsys.readouterr().out
+        code = run(["convergence", "-B", "0,2", "-l", "0", "--grids", "64,128,256", "--ref", "2.338107"])
+        lines = capsys.readouterr().out.splitlines()[1:]
         assert code == 0
-        assert "N=64" in out and "N=256" in out
+        # per (B, l): the table, then its rates
+        heads = [f"{label}  {head}" for label in ("B=0 l=0", "B=2 l=0") for head in ("N=64: ", "N_k = ", "M_k = ")]
+        assert len(lines) == len(heads)
+        assert all(line.startswith(head) for line, head in zip(lines, heads))
+        assert "N=256: " in lines[0]
 
     def test_multiple_cases(self, capsys):
         code = run(["numerov", "-B", "0,2", "-l", "0,1", "--grid", "200", "--zmin", "1e-4", "--zmax", "20"])
@@ -87,15 +93,15 @@ class TestNumerovCommand:
 
     def test_convergence_sweep_config_round_trip(self, capsys, tmp_path):
         cfg = write_config(tmp_path, {"B_values": [2.0], "l_values": [1], "z_max": 15.0})
-        assert run(["numerov", "--config", cfg, "--grids", "8,16,32"]) == 0
+        assert run(["convergence", "--config", cfg, "--grids", "8,16,32"]) == 0
         cells = "  ".join(f"N={n}: {a:.6g}" for n, a in zip((8, 16, 32), sweep_values(2.0, 1, (8, 16, 32), 15.0)))
         assert f"B=2 l=1  {cells}\n" in capsys.readouterr().out
-        assert run(["numerov", "--config", cfg, "--grids", "8,16,32", "-l", "0", "--zmax", "20"]) == 0
+        assert run(["convergence", "--config", cfg, "--grids", "8,16,32", "-l", "0", "--zmax", "20"]) == 0
         cells = "  ".join(f"N={n}: {a:.6g}" for n, a in zip((8, 16, 32), sweep_values(2.0, 0, (8, 16, 32), 20.0)))
         assert f"B=2 l=0  {cells}\n" in capsys.readouterr().out
 
     def test_convergence_sweep_reports_failures_per_case(self, capsys, table_fails_at_B2):
-        code = run(["numerov", "-B", "0,2", "-l", "0", "--grids", "8,16,32"])
+        code = run(["convergence", "-B", "0,2", "-l", "0", "--grids", "8,16,32"])
         captured = capsys.readouterr()
         assert code == 2
         assert "B=0 l=0  N=8:" in captured.out
@@ -104,21 +110,22 @@ class TestNumerovCommand:
     @pytest.mark.parametrize(
         "argv,message",
         [
-            (["--grid", "100", "--levels", "0"], "--levels must be between 1 and 99"),
-            (["--grid", "100", "--levels", "100"], "--levels must be between 1 and 99"),
-            (["--grids", "8,16"], "--grids needs at least 3 grids"),
-            (["--grids", ""], "--grids needs at least 3 grids"),
+            (["numerov", "--grid", "100", "--levels", "0"], "--levels must be between 1 and 99"),
+            (["numerov", "--grid", "100", "--levels", "100"], "--levels must be between 1 and 99"),
+            (["convergence", "--grids", "8,16"], "--grids needs at least 3 grids"),
+            (["convergence", "--grids", ""], "--grids needs at least 3 grids"),
         ],
     )
     def test_bad_levels_or_grids_is_configuration_error(self, capsys, argv, message):
-        assert run(["numerov", "-B", "0", "-l", "0", *argv]) == 1
+        assert run([*argv, "-B", "0", "-l", "0"]) == 1
         captured = capsys.readouterr()
         assert f"configuration error: {message}" in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize("grids", [[], ["--grids", "8,16,32"]])
     def test_invalid_value_is_configuration_error(self, capsys, grids):
-        assert run(["numerov", "-B", "-1", *grids]) == 1
+        # a mesh sweep runs under `convergence`
+        assert run(["convergence" if grids else "numerov", "-B", "-1", *grids]) == 1
         captured = capsys.readouterr()
         assert "configuration error: B values must be non-negative" in captured.err
         assert captured.out == ""
@@ -278,7 +285,7 @@ class TestCompareCommand:
         assert run(["compare", "--config", "/nonexistent/cfg.json"]) == 1
 
 
-@pytest.mark.parametrize("command", ["numerov", "phase", "compare", "rates"])
+@pytest.mark.parametrize("command", ["numerov", "convergence", "phase", "compare"])
 @pytest.mark.parametrize(
     "cfg, message",
     [
@@ -304,7 +311,7 @@ def test_empty_s_values_is_configuration_error(capsys, tmp_path, command, source
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("command", ["numerov", "rates"])
+@pytest.mark.parametrize("command", ["numerov", "convergence"])
 def test_empty_s_values_is_configuration_error_without_s_flag(capsys, tmp_path, command):
     assert run([command, "-B", "0", "-l", "0", "--config", write_config(tmp_path, {"s_values": []})]) == 1
     captured = capsys.readouterr()
@@ -350,13 +357,20 @@ def test_flag_and_config_key_fail_alike(capsys, tmp_path, command, flag, cfg, me
         (["phase", "--grid", "600"], "unrecognized arguments: --grid 600"),
         (["phase", "--zmin", "1e-4"], "unrecognized arguments: --zmin 1e-4"),
         (["phase", "--zmax", "20"], "unrecognized arguments: --zmax 20"),
-        (["rates", "-B", "0", "-l", "0", "--grid", "600"], "unrecognized arguments: --grid 600"),
-        # numerov runs one mode
-        (["numerov", "--tracked", "--grids", "8,16,32"], "argument --grids: not allowed with argument --tracked"),
+        (["rates", "--values", "1,2,3", "--grid", "600"], "unrecognized arguments: --grid 600"),
+        # numerov runs one mode; the mesh sweep is `convergence`
+        (["numerov", "--grids", "8,16,32"], "unrecognized arguments: --grids 8,16,32"),
         (["numerov", "--levels", "2", "--tracked"], "argument --tracked: not allowed with argument --levels"),
         (["numerov", "--levels", "1", "--tracked"], "argument --tracked: not allowed with argument --levels"),
         # a flag has one spelling
         (["numerov", "--lev", "2"], "unrecognized arguments: --lev 2"),
+        # rates rates only the values it is given
+        (["rates", "-B", "0", "-l", "0"], "the following arguments are required: --values"),
+        (["rates", "--values", "1,2,3", "-B", "0"], "unrecognized arguments: -B 0"),
+        (["rates", "--values", "1,2,3", "--csv", "table.csv"], "unrecognized arguments: --csv table.csv"),
+        (["rates", "--values", "1,2,3", "--config", "run.json"], "unrecognized arguments: --config run.json"),
+        (["rates", "--values", "1,2,3", "--zmin", "7", "--zmax", "3"], "unrecognized arguments: --zmin 7 --zmax 3"),
+        (["convergence", "--grid", "600"], "unrecognized arguments: --grid 600"),
     ],
 )
 def test_usage_error_is_configuration_error(capsys, argv, message):
@@ -367,10 +381,12 @@ def test_usage_error_is_configuration_error(capsys, argv, message):
     assert captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("command", ["numerov", "rates"])
+@pytest.mark.parametrize(
+    "command", [["numerov", "-B", "0", "-l", "0"], ["rates", "--values", "1,2,3"], ["convergence"]], ids=lambda c: c[0]
+)
 def test_out_is_rejected_where_nothing_is_written(capsys, tmp_path, command):
     out_path = tmp_path / "n.csv"
-    assert run([command, "-B", "0", "-l", "0", "--out", str(out_path)]) == 1
+    assert run([*command, "--out", str(out_path)]) == 1
     captured = capsys.readouterr()
     assert "configuration error: unrecognized arguments: --out" in captured.err
     assert captured.out == ""
@@ -400,14 +416,74 @@ def test_compare_keeps_an_existing_out_when_out_json_cannot_be_opened(capsys, tm
     assert out.read_text(encoding="utf-8") == "kept\n"
 
 
-@pytest.mark.parametrize("command", [[], ["numerov"], ["phase"], ["compare"], ["rates"]])
+@pytest.mark.parametrize("command", [[], ["numerov"], ["phase"], ["compare"], ["rates"], ["convergence"]])
 def test_help_exits_0(capsys, command):
     assert run([*command, "--help"]) == 0
     captured = capsys.readouterr()
     assert captured.out.startswith("usage: cornellbound") and captured.err == ""
 
 
+def accepted_flags() -> list:
+    """(subcommand, flag) for every optional flag that each subcommand of the parser accepts, -h excepted."""
+    (sub,) = [action for action in cli.build_parser()._actions if action.dest == "command"]
+    return [
+        pytest.param(name, action.option_strings[0], id=f"{name} {action.option_strings[0]}")
+        for name, parser in sub.choices.items()
+        for action in parser._actions
+        if action.dest != "help"
+    ]
+
+
+#: per subcommand, a cheap run, and per flag the value that moves it off its default in
+#: that run (a config object for --config, None for a switch; --out writes a file)
+FLAG_RUNS = {
+    "numerov": (
+        ["--grid", "200", "--zmax", "20"],
+        {"--config": {"l_values": [1]}, "-B": "2", "-l": "1", "--grid": "300", "--zmin": "1e-2",
+         "--zmax": "15", "--levels": "2", "--tracked": None},
+    ),
+    "convergence": (
+        ["--grids", "8,16,32"],
+        {"--config": {"B_values": [2.0]}, "-B": "2", "-l": "1", "--zmin": "0.1", "--zmax": "15",
+         "--grids": "8,16,32,64", "--ref": "2.338"},
+    ),
+    "phase": (
+        [],
+        {"--config": {"j": 0}, "-B": "2", "-l": "1", "-s": "1", "--order": "0", "--out": "OUT"},
+    ),
+    "compare": (
+        ["-B", "0", "-l", "0", "-s", "0", "--grid", "200", "--zmax", "20"],
+        {"--config": {"j": 0}, "-B": "2", "-l": "1", "--grid": "300", "--zmin": "1e-2",
+         "--zmax": "15", "-s": "1", "--order": "0", "--out": "OUT"},
+    ),
+    "rates": (["--values", "1.3,1.075,1.01875"], {"--values": "1.3,1.075,1.02", "--ref": "1.0"}),
+}
+
+
+@pytest.mark.parametrize("command, flag", accepted_flags())
+def test_every_accepted_flag_changes_the_run(capsys, tmp_path, command, flag):
+    base, values = FLAG_RUNS[command]
+    value = values[flag]
+    out = tmp_path / "out"
+    if flag == "--config":
+        value = write_config(tmp_path, value)
+    elif flag == "--out":
+        value = str(out)
+
+    def outcome(argv):
+        code = run([command, *argv])
+        written = out.read_bytes() if out.exists() else None
+        return code, capsys.readouterr().out, written
+
+    before = outcome(base)
+    after = outcome([*base, flag] + ([] if value is None else [value]))
+    assert before[0] == 0 and after[0] == 0
+    assert after != before
+
+
 class TestRatesCommand:
+    """The N_k / M_k rate lines: `rates` prints them for its --values, `convergence` for each table it makes."""
+
     def test_explicit_values(self, capsys):
         seq = [1.0 + 0.3 * 0.25**k for k in range(5)]
         code = run(["rates", "--values", ",".join(f"{v!r}" for v in seq)])
@@ -423,7 +499,7 @@ class TestRatesCommand:
         assert "M_k = 1.00, 1.00, 1.00" in out
 
     def test_computed_from_case(self, capsys):
-        code = run(["rates", "-B", "0", "-l", "0", "--grids", "32,64,128,256"])
+        code = run(["convergence", "-B", "0", "-l", "0", "--grids", "32,64,128,256"])
         out = capsys.readouterr().out
         assert code == 0
         assert "B=0 l=0  N_k" in out
@@ -436,21 +512,21 @@ class TestRatesCommand:
             nk = report.rate_N(sweep_values(B, l, ns, z_max))
             return f"B={B:g} l={l}  N_k = " + ", ".join(f"{v:.2f}" for v in nk) + "\n"
 
-        assert run(["rates", "--config", cfg, "--grids", "8,16,32,64"]) == 0
+        assert run(["convergence", "--config", cfg, "--grids", "8,16,32,64"]) == 0
         assert rates_line(2.0, 1, 15.0) in capsys.readouterr().out
-        assert run(["rates", "--config", cfg, "--grids", "8,16,32,64", "-B", "0", "--zmax", "20"]) == 0
+        assert run(["convergence", "--config", cfg, "--grids", "8,16,32,64", "-B", "0", "--zmax", "20"]) == 0
         assert rates_line(0.0, 1, 20.0) in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "argv, label",
-        [(["--values", "1,1,1"], "values"), (["-B", "0", "-l", "0", "--grids", "8,8,8"], "B=0 l=0")],
+        [(["rates", "--values", "1,1,1"], "values"), (["convergence", "--grids", "8,8,8"], "B=0 l=0")],
     )
     def test_degenerate_sequence_fails_per_sequence(self, capsys, argv, label):
-        assert run(["rates", *argv]) == 2
+        assert run(argv) == 2
         assert f"{label}  FAILED: consecutive values coincide at k=2" in capsys.readouterr().err
 
     def test_failed_case_does_not_stop_the_others(self, capsys, table_fails_at_B2):
-        code = run(["rates", "-B", "2,0", "-l", "0", "--grids", "32,64,128"])
+        code = run(["convergence", "-B", "2,0", "-l", "0", "--grids", "32,64,128"])
         captured = capsys.readouterr()
         assert code == 2
         assert "B=2 l=0  FAILED: forced failure" in captured.err
@@ -460,7 +536,7 @@ class TestRatesCommand:
         "grids, message", [("8,16", "at least 3 grids"), ("4,8,16", "need at least 8 subintervals")]
     )
     def test_bad_grids_are_configuration_errors(self, capsys, grids, message):
-        assert run(["rates", "-B", "0", "-l", "0", "--grids", grids]) == 1
+        assert run(["convergence", "-B", "0", "-l", "0", "--grids", grids]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "configuration error" in captured.err
@@ -468,7 +544,7 @@ class TestRatesCommand:
 
     def test_missing_inputs_exit_1(self, capsys):
         assert run(["rates"]) == 1
-        assert "need --values" in capsys.readouterr().err
+        assert "the following arguments are required: --values" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [["--values", "1,2,nan"], ["--values", "1.3,1.075,1.01875", "--ref", "inf"]])
     def test_non_finite_input_exit_1(self, capsys, argv):
@@ -486,33 +562,6 @@ class TestRatesCommand:
         assert captured.out == ""
         (line,) = captured.err.splitlines()
         assert line.startswith("configuration error: ")
-
-    def test_empty_B_and_l_lists_are_accepted(self, capsys, tmp_path):
-        cfg = write_config(tmp_path, {"B_values": [], "l_values": []})
-        assert run(["rates", "--config", cfg, "--values", "1.3,1.075,1.01875"]) == 0
-        assert "values  N_k = 2.00" in capsys.readouterr().out
-
-    def test_csv_without_comparison_columns_exit_1(self, capsys, tmp_path):
-        path = tmp_path / "partial.csv"
-        path.write_text("B,l\n0,0\n", encoding="utf-8")
-        assert run(["rates", "--csv", str(path)]) == 1
-        captured = capsys.readouterr()
-        assert "configuration error" in captured.err
-        assert "s, j, A_N, A_PhI, delta_A, residual, C_abs" in captured.err
-
-    def test_csv_input(self, capsys, tmp_path):
-        from cornellbound.report import ComparisonRow, write_csv
-
-        rows = [
-            ComparisonRow(B=0.0, l=0, s=s, j=1, A_N=1.0 + 0.3 * 0.25**s, A_PhI=0.0, delta_A=0.0, residual=0.0, C_abs=0.0)
-            for s in range(5)
-        ]
-        path = tmp_path / "seq.csv"
-        write_csv(rows, path)
-        code = run(["rates", "--csv", str(path)])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "2.00" in out
 
 
 class TestFailureTaxonomy:
@@ -542,12 +591,12 @@ class TestFailureTaxonomy:
 
 
 class TestOneParserPerProcess:
-    # rates twice: its --grids default is a parser default that every parse shares
+    # convergence twice: its --grids default is a parser default that every parse shares
     RUNS = [
-        ["rates", "-B", "0", "-l", "0"],
+        ["convergence", "-B", "0", "-l", "0"],
         ["phase", "-B", "2", "-l", "1", "-s", "2,0,2", "--out", "{out}/levels.json"],
         ["compare", "-B", "0,2", "-l", "0", "-s", "0,1", "--grid", "600", "--zmax", "20", "--out", "{out}/table.csv"],
-        ["rates", "-B", "0", "-l", "0"],
+        ["convergence", "-B", "0", "-l", "0"],
     ]
 
     def test_main_parses_with_one_cached_parser(self):
