@@ -40,10 +40,12 @@ Exit codes: 0 full success (and --help); 1 configuration error, one
 error such as an unknown flag, a flag the subcommand does not take, a
 missing --values, an unparsable value or two numerov modes at once, an
 unreadable config, an unknown key, a value of the wrong type or range,
-numerov --levels outside 1..N-1, fewer than 3 --grids or a grid below 8
-subintervals, a non-finite --values or --ref entry, an --out path that
-cannot be opened); 2 partial per-case failures (each reported as a FAILED
-line on stderr; the other cases still run).
+numerov --levels outside 1..N-1, fewer than 3 --grids or --values, a grid
+below 8 subintervals, a non-finite --values or --ref entry, an --out path
+that cannot be opened); 2 partial per-case failures (each reported by one
+loop for every subcommand as a "label  FAILED: message" line on stderr,
+the message of a compare row starting with its error's type; the other
+cases still run).
 """
 
 from __future__ import annotations
@@ -153,17 +155,9 @@ def resolve_config(args, **defaults) -> report.RunConfig:
     return report.RunConfig(**{**defaults, **cfg, **flags})
 
 
-def _header() -> None:
-    print(f"# cornellbound | adopted convention: {report.B_DEFINITION}")
-
-
-def _report_failure(label: str, exc: CornellboundError) -> None:
-    print(f"{label}  FAILED: {exc}", file=sys.stderr)
-
-
-def _check_rate_inputs(*values: float | None) -> None:
+def _check_finite(flags: str, *values: float | None) -> None:
     if not all(math.isfinite(v) for v in values if v is not None):
-        raise DomainError("--values and --ref must be finite")
+        raise DomainError(f"{flags} must be finite")
 
 
 def _rate_lines(values: list[float], ref: float | None):
@@ -174,29 +168,36 @@ def _rate_lines(values: list[float], ref: float | None):
 
 
 def _print_cases(cases) -> int:
-    """Print the header, then for each `(label, lines)` case every line of `lines`, after the label.
+    """Print the run header, then every line of each `(label, lines)` case.
 
     `lines` makes each line as it is read, so a case that raises a package
-    error gets a FAILED line on stderr after the lines it printed, and the
-    other cases still run.  Returns the exit code: 2 if any case failed,
-    else 0.
+    error gets a `label  FAILED: message` line on stderr after the lines it
+    printed, and the other cases still run.  Returns the exit code: 2 if
+    any case failed, else 0.
     """
-    _header()
+    print(f"# cornellbound | adopted convention: {report.B_DEFINITION}")
     failures = 0
     for label, lines in cases:
         try:
             for line in lines:
-                print(f"{label}  {line}")
+                print(line)
         except CornellboundError as exc:
             failures += 1
-            _report_failure(label, exc)
+            print(f"{label}  FAILED: {exc}", file=sys.stderr)
     return 2 if failures else 0
+
+
+def _labelled(label: str, lines) -> tuple:
+    """The case `(label, lines)`, each of its lines after the label."""
+    return label, (f"{label}  {line}" for line in lines)
 
 
 def _print_each_case(config: report.RunConfig, lines) -> int:
     """`_print_cases` over the (B, l) cases of `config`, the generator `lines(case)` making a case's lines."""
     return _print_cases(
-        (f"B={B:g} l={l}", lines(DimensionlessCase(B=B, l=l))) for B in config.B_values for l in config.l_values
+        _labelled(f"B={B:g} l={l}", lines(DimensionlessCase(B=B, l=l)))
+        for B in config.B_values
+        for l in config.l_values
     )
 
 
@@ -219,7 +220,7 @@ def cmd_numerov(args) -> int:
 def cmd_convergence(args) -> int:
     sweep = {"z_min": numerov.SWEEP_Z_MIN, "z_max": numerov.SWEEP_Z_MAX}
     config = resolve_config(args, B_values=[0.0], l_values=[0], **sweep)
-    _check_rate_inputs(args.ref)
+    _check_finite("--ref", args.ref)
     grids = [Grid(config.z_min, config.z_max, n) for n in args.grids]
     if len(grids) < 3:
         raise DomainError("--grids needs at least 3 grids for a convergence table")
@@ -236,27 +237,25 @@ def cmd_phase(args) -> int:
     config = resolve_config(args, B_values=[0.0], l_values=[0])
     if args.out:  # claimed before the first case; appending leaves an existing file as it is
         open(args.out, "a", encoding="utf-8").close()
-    _header()
-    failures = 0
     results = []
-    for B in config.B_values:
-        for l in config.l_values:
-            levels = phase_integral.quantize_ladder(B, l, config.j, config.s_values)
-            for s, res in zip(config.s_values, levels):
-                try:
-                    if isinstance(res, CornellboundError):
-                        raise res
-                    u0 = res.u0.as_complex()  # worked out on this first read
-                except CornellboundError as exc:
-                    failures += 1
-                    _report_failure(f"B={B:g} l={l} s={s}", exc)
-                    continue
-                print(
-                    f"B={B:g} l={l} s={s} j={config.j}  A = {res.A:.10g}  "
-                    f"x2 = {res.x2:.10g}  |C(u0)| = {res.C_abs:.2e}  "
-                    f"u0 = {u0.real:.6f}{u0.imag:+.6f}i  residual = {res.residual:.2e}"
-                )
-                results.append(res)
+
+    def lines(label, res):
+        if isinstance(res, CornellboundError):
+            raise res
+        u0 = res.u0.as_complex()  # worked out on this first read
+        results.append(res)
+        yield (
+            f"{label} j={config.j}  A = {res.A:.10g}  x2 = {res.x2:.10g}  |C(u0)| = {res.C_abs:.2e}  "
+            f"u0 = {u0.real:.6f}{u0.imag:+.6f}i  residual = {res.residual:.2e}"
+        )
+
+    code = _print_cases(
+        (label, lines(label, res))
+        for B in config.B_values
+        for l in config.l_values
+        for s, res in zip(config.s_values, phase_integral.quantize_ladder(B, l, config.j, config.s_values))
+        for label in [f"B={B:g} l={l} s={s}"]
+    )
     if args.out:
         payload = [
             {
@@ -273,7 +272,7 @@ def cmd_phase(args) -> int:
             for r in results
         ]
         report.dump_json(payload, args.out)
-    return 2 if failures else 0
+    return code
 
 
 def cmd_compare(args) -> int:
@@ -281,26 +280,26 @@ def cmd_compare(args) -> int:
     if args.out:  # both files claimed as in cmd_phase
         for path in (args.out, f"{args.out}.json"):
             open(path, "a", encoding="utf-8").close()
-    _header()
     rows = report.compare_sweep(config)
-    for r in rows:
+
+    def lines(label, r):
         if r.error:
-            print(f"B={r.B:g} l={r.l} s={r.s} j={r.j}  FAILED: {r.error}", file=sys.stderr)
-        else:
-            print(
-                f"B={r.B:g} l={r.l} s={r.s} j={r.j}  A_N = {r.A_N:.8g}  "
-                f"A_PhI = {r.A_PhI:.8g}  |dA| = {r.delta_A:.4e}"
-            )
+            raise CornellboundError(r.error)  # the message starts with the error's type name
+        yield f"{label}  A_N = {r.A_N:.8g}  A_PhI = {r.A_PhI:.8g}  |dA| = {r.delta_A:.4e}"
+
+    code = _print_cases((label, lines(label, r)) for r in rows for label in [f"B={r.B:g} l={r.l} s={r.s} j={r.j}"])
     if args.out:
         report.write_csv([r for r in rows if r.error is None], args.out)
         report.write_json(rows, f"{args.out}.json")
         print(f"# wrote {args.out} and {args.out}.json")
-    return 2 if any(r.error for r in rows) else 0
+    return code
 
 
 def cmd_rates(args) -> int:
-    _check_rate_inputs(*args.values, args.ref)
-    return _print_cases([("values", _rate_lines(args.values, args.ref))])
+    _check_finite("--values and --ref", *args.values, args.ref)
+    if len(args.values) < 3:
+        raise DomainError("--values needs at least 3 values for N_k")
+    return _print_cases([_labelled("values", _rate_lines(args.values, args.ref))])
 
 
 @functools.cache

@@ -154,13 +154,15 @@ def _paired(row: ComparisonRow, level) -> ComparisonRow:
 
 
 def compare_sweep(config: RunConfig) -> list[ComparisonRow]:
-    """One comparison row per (B, l, s, j) of the configured sweep.
+    """One comparison row per (B, l, s, j) of the configured sweep, each made by `_paired`.
 
     The Numerov spectrum for each (B, l) is computed once and indexed by s
     (the s-th level is the s-th ascending eigenvalue), and the
-    phase-integral levels of each (B, l, j) come from one ladder walk.
-    Per-case failures are recorded in the row instead of aborting the
-    sweep; output order is sorted by (B, l, s, j).
+    phase-integral levels of each (B, l, j) come from one ladder walk.  A
+    failed Numerov solve is the level of every s of its (B, l), with A_N
+    NaN, and no ladder is walked for it.  Per-case failures are recorded in
+    the row instead of aborting the sweep; output order is sorted by
+    (B, l, s, j).
     """
     grid = config.grid()
     s_values = sorted(config.s_values)
@@ -170,15 +172,12 @@ def compare_sweep(config: RunConfig) -> list[ComparisonRow]:
             try:
                 spectrum = numerov.solve(DimensionlessCase(B=B, l=l), grid, s_values[-1] + 1)
             except CornellboundError as exc:
-                for s in s_values:
-                    rows.append(
-                        ComparisonRow(B=B, l=l, s=s, j=config.j, error=f"{type(exc).__name__}: {exc}")
-                    )
-                continue
-            levels = phase_integral.quantize_ladder(B, l, config.j, s_values)
-            for s, level in zip(s_values, levels):
-                row = ComparisonRow(B=B, l=l, s=s, j=config.j, A_N=float(spectrum.eigenvalues[s]))
-                rows.append(_paired(row, level))
+                A_N, levels = [math.nan] * len(s_values), [exc] * len(s_values)
+            else:
+                A_N = [float(spectrum.eigenvalues[s]) for s in s_values]
+                levels = phase_integral.quantize_ladder(B, l, config.j, s_values)
+            for s, a, level in zip(s_values, A_N, levels):
+                rows.append(_paired(ComparisonRow(B=B, l=l, s=s, j=config.j, A_N=a), level))
     rows.sort(key=lambda r: (r.B, r.l, r.s, r.j))  # a repeated B or l value repeats a whole block
     return rows
 

@@ -176,6 +176,22 @@ class TestPhaseCommand:
         assert [line.split()[2] for line in captured.out.splitlines()[1:]] == ["s=1", "s=2"]
         assert captured.err == "B=2 l=1 s=0  FAILED: forced failure\n"
 
+    def test_failed_level_between_good_levels_keeps_the_line_order(self, capsys, monkeypatch):
+        argv = ["phase", "-B", "2,0", "-l", "1", "-s", "1,0,2"]
+        assert run(argv) == 0
+        header, *good = capsys.readouterr().out.splitlines(keepends=True)
+        real = phase_integral.quantize_ladder
+
+        def fail_B2_s0(B, l, j, s_values):
+            levels = real(B, l, j, s_values)
+            return [BracketError("forced failure") if (B, s) == (2.0, 0) else r for s, r in zip(s_values, levels)]
+
+        monkeypatch.setattr(phase_integral, "quantize_ladder", fail_B2_s0)
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "".join([header, good[0], *good[2:]])
+        assert captured.err == "B=2 l=1 s=0  FAILED: forced failure\n"
+
     def test_no_bracket_fails_cleanly(self, capsys, monkeypatch):
         monkeypatch.setattr(phase_integral, "_phase_sum", lambda x2, case: (case.s + 0.5) * math.pi + 1.0)
         code = run(["phase", "-B", "0", "-l", "0", "-s", "0"])
@@ -274,6 +290,17 @@ class TestCompareCommand:
         assert f"B=2 l=1 s=1 j=0  A_N = {A_N(600, 1)}  " in capsys.readouterr().out
         assert run(["compare", "--config", cfg, "-s", "0", "--grid", "700"]) == 0
         assert f"B=2 l=1 s=0 j=0  A_N = {A_N(700, 0)}  " in capsys.readouterr().out
+
+    def test_failed_rows_print_exactly_their_failed_lines(self, capsys):
+        # --grid 8 has 7 levels, so no (B, l) can be solved for s = 7 and every row fails
+        assert run(["compare", "-B", "0,2", "-l", "0", "-s", "0,7", "--grid", "8", "--zmax", "20"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == f"# cornellbound | adopted convention: {report.B_DEFINITION}\n"
+        assert captured.err.splitlines() == [
+            f"B={B} l=0 s={s} j=1  FAILED: DomainError: count must be between 1 and 7"
+            for B in (0, 2)
+            for s in (0, 7)
+        ]
 
     def test_bad_config_exit_1(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
@@ -553,7 +580,15 @@ class TestRatesCommand:
         assert captured.out == ""
         assert "configuration error: --values and --ref must be finite" in captured.err
 
-    @pytest.mark.parametrize("argv", [[], ["--csv", "partial.csv"]], ids=["no-input", "partial-csv"])
+    def test_non_finite_ref_names_only_the_ref_flag(self, capsys):
+        assert run(["convergence", "-B", "0", "-l", "0", "--grids", "8,16,32", "--ref", "nan"]) == 1
+        assert capsys.readouterr() == ("", "configuration error: --ref must be finite\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [[], ["--csv", "partial.csv"], ["--values", "1,2"], ["--values", ""]],
+        ids=["no-input", "partial-csv", "two-values", "no-values"],
+    )
     def test_input_errors_print_nothing_on_stdout(self, capsys, tmp_path, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "partial.csv").write_text("B,l\n0,0\n", encoding="utf-8")
